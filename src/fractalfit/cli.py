@@ -63,15 +63,11 @@ def write_json(path, payload) -> None:
     Path(path).write_text(_json_text(payload), encoding="utf-8")
 
 
-def write_series_csv(path, series: Series) -> None:
-    lines = ["z,w"]
-    lines.extend(f"{float(z)!r},{float(w)!r}" for z, w in zip(series.z, series.w))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_curve_csv(path, xs, values) -> None:
-    lines = ["x,value"]
-    lines.extend(f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, values))
+def write_series_csv(path, x, y, header: str = "z,w") -> None:
+    """Two-column CSV: the header line, then one ``x,y`` row of repr floats
+    per sample."""
+    lines = [header]
+    lines.extend(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist()))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -117,17 +113,31 @@ def model_to_payload(
     }
 
 
+#: The parameter field ``model_from_payload`` requires, per model kind.
+_PARAMETER_FIELD = {"fractal": "d", "quadratic": "coefficients"}
+
+
 def read_model_file(path) -> dict:
-    """Load and validate a model payload (schema version must be known)."""
+    """Load and validate a model payload: the schema version must be known,
+    and every field that ``model_from_payload`` and ``eval`` read present."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: model file must hold a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
             f"{path}: unsupported model schema version {version!r} "
             f"(expected {SCHEMA_VERSION!r})"
         )
-    if payload.get("kind") not in ("fractal", "quadratic"):
-        raise ValueError(f"{path}: unknown model kind {payload.get('kind')!r}")
+    kind = payload.get("kind")
+    if kind not in _PARAMETER_FIELD:
+        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    for key in ("domain", "knots", "parameters"):
+        if key not in payload:
+            raise ValueError(f"{path}: missing model field {key!r}")
+    field = _PARAMETER_FIELD[kind]
+    if not isinstance(payload["parameters"], dict) or field not in payload["parameters"]:
+        raise ValueError(f"{path}: missing model field 'parameters.{field}'")
     return payload
 
 
@@ -215,8 +225,8 @@ def _cmd_gen(args) -> int:
     normalized, params = normalize(raw)
     raw_path = out.with_name(out.stem + ".raw.csv")
     params_path = out.with_name(out.stem + ".params.json")
-    write_series_csv(out, normalized)
-    write_series_csv(raw_path, raw)
+    write_series_csv(out, normalized.z, normalized.w)
+    write_series_csv(raw_path, raw.z, raw.w)
     write_json(params_path, {"s1": params.s1, "s2": params.s2})
     print(f"wrote {out} ({normalized.m_count} samples), {raw_path}, {params_path}")
     return 0
@@ -303,7 +313,7 @@ def _cmd_eval(args) -> int:
         if args.depth is not None:
             raise UsageError("--depth applies only to fractal models")
         values = evaluate_quad(model, xs)
-    _write_curve_csv(args.out, xs, values)
+    write_series_csv(args.out, xs, values, header="x,value")
     print(f"wrote {args.out} ({xs.size} points)")
     return 0
 

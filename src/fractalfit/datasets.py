@@ -15,12 +15,12 @@ local extrema of a smoothed copy of the data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from os import PathLike
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .collage_fit import Series
 from .ifs_core import Knots
@@ -97,34 +97,78 @@ def gen_random_walk(m_count: int, seed: int) -> Series:
 def load_series_csv(path: str | PathLike) -> Series:
     """Read a series from CSV: one numeric column (abscissae become 1..M)
     or two columns (z, w).  An optional single header line is detected by a
-    non-numeric first field."""
+    non-numeric first field.  Blank lines are skipped; line numbers in error
+    messages count every line of the file."""
     text = Path(path).read_text(encoding="utf-8")
-    rows: list[list[float]] = []
-    first_line = True
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        header_candidate = first_line
-        first_line = False
-        try:
-            values = [float(c) for c in cells]
-        except ValueError:
-            try:
-                float(cells[0])
-            except ValueError:
-                if header_candidate:
-                    continue
-            raise ValueError(f"{path}: non-numeric value on line {lineno}")
-        if len(values) not in (1, 2) or (rows and len(values) != len(rows[-1])):
-            raise ValueError(f"{path}: expected 1 or 2 columns, got {len(values)} on line {lineno}")
-        rows.append(values)
-    if len(rows) < 2:
+    data = _parse_rows(text)
+    if data is None:
+        _raise_line_fault(path, text)
         raise ValueError(f"{path}: need at least 2 data rows")
-    data = np.array(rows)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno, _ = _numbered_data_lines(text)[int(np.argmin(finite))]
+        raise ValueError(f"{path}: non-finite value on line {lineno}")
     if data.shape[1] == 1:
         return Series(np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0])
     return Series(data[:, 0], data[:, 1])
+
+
+def _is_header(line: str) -> bool:
+    try:
+        float(line.split(",", 1)[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _parse_rows(text: str) -> np.ndarray | None:
+    """The data cells of ``text`` as a (rows, 1 or 2) array in one numpy
+    conversion, or None when the text is malformed or has fewer than 2 rows.
+
+    numpy converts each ``str`` cell with Python ``float()`` semantics, so
+    the accepted spellings (padding, ``nan``, ``1_0``, ...) match the
+    per-line rules of ``_raise_line_fault`` exactly.
+    """
+    lines = list(filter(str.strip, text.splitlines()))
+    if lines and _is_header(lines[0]):
+        del lines[0]
+    commas = set(map(str.count, lines, repeat(",")))
+    if len(lines) < 2 or commas not in ({0}, {1}):
+        return None
+    cells = ",".join(lines).split(",")
+    del lines
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        return None
+    return values.reshape(-1, commas.pop() + 1)
+
+
+def _numbered_data_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based file line number, line) of each data line: non-blank, past
+    the header if there is one."""
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if numbered and _is_header(numbered[0][1]):
+        del numbered[0]
+    return numbered
+
+
+def _raise_line_fault(path, text: str) -> None:
+    """Raise for the first data line with a non-numeric cell or a bad
+    column count; return only when every line is well formed."""
+    columns = None
+    for lineno, line in _numbered_data_lines(text):
+        cells = line.split(",")
+        try:
+            for cell in cells:
+                float(cell)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value on line {lineno}") from None
+        if len(cells) not in (1, 2) or columns not in (None, len(cells)):
+            raise ValueError(
+                f"{path}: expected 1 or 2 columns, got {len(cells)} on line {lineno}"
+            )
+        columns = len(cells)
 
 
 def normalize(series: Series) -> tuple[Series, NormalizationParams]:
@@ -186,6 +230,8 @@ def select_knots(
             raise ValueError("extrema mode requires n_interior >= 1")
         if window < 1 or window % 2 == 0:
             raise ValueError("smoothing window must be a positive odd integer")
+        from scipy.signal import find_peaks  # scipy is needed only for this mode
+
         smoothed = _moving_average(series.w, window)
         cands: list[tuple[float, int]] = []
         for sign in (1.0, -1.0):

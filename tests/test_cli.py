@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -285,6 +287,30 @@ class TestEval:
         assert code == 1
         assert "schema version" in err
 
+    @pytest.mark.parametrize(
+        "field", ["knots", "domain", "parameters", "parameters.d", "parameters.coefficients"]
+    )
+    def test_missing_model_field_is_data_error(self, tmp_path, capsys, field):
+        payload = self.tent_payload()
+        if field == "parameters.d":
+            del payload["parameters"]["d"]
+        elif field == "parameters.coefficients":
+            payload["kind"] = "quadratic"  # a fractal payload has no coefficients
+        else:
+            del payload[field]
+        path = tmp_path / "partial.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert err == f"error: {path}: missing model field '{field}'\n"
+
+    def test_non_object_model_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert err == f"error: {path}: model file must hold a JSON object\n"
+
 
 class TestModelFile:
     def test_round_trip_is_byte_identical(self, poly_files, capsys):
@@ -364,6 +390,14 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+def child_env() -> dict:
+    """The environment for a child interpreter that imports this checkout's
+    package, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
 def test_module_entry_point_smoke(tmp_path):
     # one end-to-end run through a real interpreter
     result = subprocess.run(
@@ -371,8 +405,26 @@ def test_module_entry_point_smoke(tmp_path):
         capture_output=True,
         text=True,
         timeout=120,
+        env=child_env(),
     )
     assert result.returncode == 0
     row = json.loads(result.stdout)["rows"][0]
     assert row["name"] == "polynomial"
     assert 0 < row["quadratic_rms"] < row["fractal_rms"] <= row["collage_bound"]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy serves only extrema knot selection; every other command starts
+    # without paying for its import
+    probe = (
+        "import sys, fractalfit.cli\n"
+        "print('scipy' in sys.modules)\n"
+        "from fractalfit import gen_random_walk, select_knots\n"
+        "select_knots(gen_random_walk(500, 1), 'extrema', n_interior=3, window=11)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]

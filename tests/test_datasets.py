@@ -1,3 +1,6 @@
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,92 @@ from fractalfit import (
 def quintic(x):
     # plain monomial form, deliberately not Horner, as an independent check
     return -6 * x + 5 * x**2 + 5 * x**3 - 5 * x**4 + x**5
+
+
+def oracle_load_series_csv(path):
+    """Reference loader: one Python float() per cell, line by line.
+
+    The rules and messages of the loop are those load_series_csv keeps; the
+    non-finite check after it is the one rule added to them, and it runs
+    only once every line is well formed and at least 2 rows exist."""
+    text = Path(path).read_text(encoding="utf-8")
+    rows: list[list[float]] = []
+    linenos: list[int] = []
+    first_line = True
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        cells = [c.strip() for c in line.split(",")]
+        header_candidate = first_line
+        first_line = False
+        try:
+            values = [float(c) for c in cells]
+        except ValueError:
+            try:
+                float(cells[0])
+            except ValueError:
+                if header_candidate:
+                    continue
+            raise ValueError(f"{path}: non-numeric value on line {lineno}")
+        if len(values) not in (1, 2) or (rows and len(values) != len(rows[-1])):
+            raise ValueError(f"{path}: expected 1 or 2 columns, got {len(values)} on line {lineno}")
+        rows.append(values)
+        linenos.append(lineno)
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows")
+    for lineno, values in zip(linenos, rows):
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}: non-finite value on line {lineno}")
+    data = np.array(rows)
+    if data.shape[1] == 1:
+        return Series(np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0])
+    return Series(data[:, 0], data[:, 1])
+
+
+def load_outcome(load, path):
+    """The loaded arrays as bytes (bit-exact), or the error message."""
+    try:
+        series = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return series.z.tobytes(), series.w.tobytes()
+
+
+_PADDING = st.sampled_from(["", "", " ", "\t", "\u00a0", "\u2003"])
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**6), 10**6).map(str),
+    st.sampled_from(["1_0", "-0", ".5", "5.", "1e-400", "\u0661\u0662", "+3E2"]),
+)
+_SPECIAL_CELLS = st.sampled_from(
+    ["nan", "-inf", "Infinity", "1e400", "", "oops", "1__0", "0x1", "#1", "1 2", "--1", "1,2"]
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text near the loader's accepted format: optional header, blank
+    lines, LF/CRLF/CR/form-feed line breaks, padded cells, 1 or 2 columns,
+    and now and then a non-finite or malformed cell or a ragged row."""
+    columns = draw(st.sampled_from([1, 2]))
+    lines = []
+    header = draw(st.sampled_from([None, "z,w", "value", "x, y, z", "1.0,oops", "w,1"]))
+    if header is not None:
+        lines.append(header)
+    for i in range(draw(st.integers(0, 8))):
+        value = draw(_SPECIAL_CELLS if draw(st.integers(0, 19)) == 0 else _GOOD_CELLS)
+        abscissa = draw(st.sampled_from([str(i + 1), repr(i + 1.0), f"{i + 1}e0", f"{i + 1}_0"]))
+        cells = [abscissa, value] if columns == 2 else [value]
+        ragged = draw(st.integers(0, 29))
+        if ragged == 0:
+            cells.append(value)
+        elif ragged == 1:
+            cells.pop()
+        lines.append(",".join(draw(_PADDING) + cell + draw(_PADDING) for cell in cells))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+    breaks = [draw(st.sampled_from(["\n", "\n", "\r\n", "\r", "\x0c"])) for _ in lines]
+    return "".join(line + brk for line, brk in zip(lines, breaks)) + draw(st.sampled_from(["", "\n"]))
 
 
 class TestGenPolynomial:
@@ -156,6 +245,29 @@ class TestLoadSeriesCsv:
             load_series_csv(path)
 
 
+    @pytest.mark.parametrize(
+        "text, lineno",
+        [
+            ("w\n1.0\n\nnan\n2.0\n", 4),
+            ("1.0\n2.0\n-inf\n", 3),
+            ("z,w\n1,2.0\n2,inf\n3,nan\n", 3),
+            ("1,2.0\n\n1e400,3.0\n", 3),
+        ],
+    )
+    def test_non_finite_names_line(self, tmp_path, text, lineno):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"non-finite value on line {lineno}$"):
+            load_series_csv(path)
+
+    @given(text=csv_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_per_line_oracle(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "oracle.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert load_outcome(load_series_csv, path) == load_outcome(oracle_load_series_csv, path)
+
+
 class TestNormalize:
     def test_two_point_example(self):
         series, params = normalize(Series.from_points([(1, 0.0), (2, 2.0)]))
@@ -278,6 +390,13 @@ class TestSelectKnotsExtrema:
         a = select_knots(series, "extrema", n_interior=7, window=11)
         b = select_knots(series, "extrema", n_interior=7, window=11)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
+
+    def test_pinned_walk_knots(self):
+        series, _ = normalize(gen_random_walk(5000, 11))
+        knots = select_knots(series, "extrema", n_interior=8, window=51, prominence=0.05)
+        assert knots.x.tolist() == [
+            1.0, 967.0, 1412.0, 1841.0, 3020.0, 3581.0, 3961.0, 4119.0, 4306.0, 5000.0
+        ]
 
     def test_ordinates_equal_series_values(self):
         series = self.sine_series(700, cycles=4)
