@@ -10,8 +10,6 @@ from .ifs_core import (
     FifModel,
     Knots,
     SampledFunction,
-    SegmentMap,
-    alpha_beta_gamma,
     build_model,
     default_depth,
     evaluate_fif,
@@ -43,11 +41,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Knots",
-    "SegmentMap",
     "FifModel",
     "SampledFunction",
     "build_model",
-    "alpha_beta_gamma",
     "segment_indices",
     "hutchinson_apply",
     "evaluate_fif",

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline_quadratic import QuadModel, evaluate_quad, fit_quadratic
+from .baseline_quadratic import fit_quadratic
 from .collage_fit import D_MAX_DEFAULT, Series, fit_d_discrete
-from .ifs_core import FifModel, build_model, default_depth, evaluate_fif, Knots
+from .ifs_core import Knots, build_model, default_depth
 
 __all__ = ["ComparisonRow", "rms_error", "compare"]
 
@@ -29,18 +29,10 @@ class ComparisonRow:
     eval_depth: int
 
 
-def rms_error(h, series: Series, *, depth: int | None = None) -> float:
-    """Root-mean-square error of a model against the series.
-
-    ``h`` may be a FifModel (evaluated at ``depth``, default depth if None),
-    a QuadModel, or any callable mapping an abscissa array to values.
-    """
-    if isinstance(h, FifModel):
-        values = evaluate_fif(h, series.z, depth)
-    elif isinstance(h, QuadModel):
-        values = evaluate_quad(h, series.z)
-    else:
-        values = np.asarray(h(series.z), dtype=float)
+def rms_error(h, series: Series) -> float:
+    """Root-mean-square error against the series of ``h``, a model or any
+    callable mapping an abscissa array to values."""
+    values = np.asarray(h(series.z), dtype=float)
     return float(np.sqrt(np.mean((values - series.w) ** 2)))
 
 
@@ -61,7 +53,7 @@ def compare(
     resolved_depth = default_depth(model) if depth is None else depth
     return ComparisonRow(
         name=name,
-        fractal_rms=rms_error(model, series, depth=resolved_depth),
+        fractal_rms=rms_error(lambda z: model(z, resolved_depth), series),
         quadratic_rms=rms_error(fit_quadratic(series, knots), series),
         collage_bound=report.collage_bound,
         contraction_factor=report.contraction_factor,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs_core import Knots, _frozen_array, segment_indices
-from .collage_fit import Series, _require_alignment
+from .collage_fit import Series, _segment_slices
 
 __all__ = ["QuadModel", "fit_quadratic", "evaluate_quad"]
 
@@ -51,52 +51,39 @@ class QuadModel:
         object.__setattr__(self, "curvature", curvature)
         object.__setattr__(self, "chord_fallback", fallback)
 
+    def __call__(self, x):
+        return evaluate_quad(self, x)
+
     @property
-    def coeffs(self) -> list[tuple[float, float, float]]:
-        """Monomial coefficients (k_i, r_i, l_i) of each segment."""
-        x, y = self.knots.x, self.knots.y
-        out = []
-        for i, s in enumerate(self.curvature):
-            xl, xr = x[i], x[i + 1]
-            slope = (y[i + 1] - y[i]) / (xr - xl)
-            out.append(
-                (
-                    float(s),
-                    float(slope - s * (xl + xr)),
-                    float(y[i] - slope * xl + s * xl * xr),
-                )
-            )
-        return out
+    def coeffs(self) -> np.ndarray:
+        """Monomial coefficients (k_i, r_i, l_i), one row per segment."""
+        x, y, s = self.knots.x, self.knots.y, self.curvature
+        xl, xr = x[:-1], x[1:]
+        slope = np.diff(y) / (xr - xl)
+        return np.column_stack(
+            (s, slope - s * (xl + xr), y[:-1] - slope * xl + s * xl * xr)
+        )
 
 
 def fit_quadratic(series: Series, knots: Knots) -> QuadModel:
     """Least-squares fit of each segment's free quadratic parameter.
 
     Minimizes sum (w_m - L_i(z_m) - s B_i(z_m))^2 over the segment's samples;
-    only samples strictly inside the segment contribute (B_i vanishes at the
-    endpoints).  A segment with no interior samples keeps the chord (s = 0)
-    and is flagged rather than failed.
+    B_i vanishes at the endpoints, so only samples strictly inside the
+    segment contribute.  A segment with no interior samples keeps the chord
+    (s = 0) and is flagged rather than failed.
     """
-    _require_alignment(series, knots)
-    seg = segment_indices(knots, series.z)
-    x, y = knots.x, knots.y
-
-    n = knots.n_segments
-    curvature = np.zeros(n)
-    fallback = np.zeros(n, dtype=bool)
-    for i in range(n):
-        mask = seg == i
-        zz, ww = series.z[mask], series.w[mask]
-        xl, xr = x[i], x[i + 1]
-        inner = (zz > xl) & (zz < xr)
-        if not np.any(inner):
-            fallback[i] = True
-            continue
-        zz, ww = zz[inner], ww[inner]
-        t = (zz - xl) / (xr - xl)
-        chord = y[i] + (y[i + 1] - y[i]) * t
-        bubble = (zz - xl) * (zz - xr)
-        curvature[i] = float((ww - chord) @ bubble) / float(bubble @ bubble)
+    starts, seg = _segment_slices(series, knots)
+    z, x, y = series.z, knots.x, knots.y
+    xl, xr = x[seg], x[seg + 1]
+    chord = y[seg] + (y[seg + 1] - y[seg]) * ((z - xl) / (xr - xl))
+    bubble = (z - xl) * (z - xr)
+    numerator = np.add.reduceat((series.w - chord) * bubble, starts)
+    denominator = np.add.reduceat(bubble * bubble, starts)
+    fallback = denominator == 0.0
+    curvature = np.divide(
+        numerator, denominator, out=np.zeros(starts.size), where=~fallback
+    )
     return QuadModel(knots=knots, curvature=curvature, chord_fallback=fallback)
 
 

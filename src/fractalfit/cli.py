@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import ComparisonRow, compare, rms_error
-from .baseline_quadratic import QuadModel, evaluate_quad, fit_quadratic
+from .analysis import ComparisonRow, compare
+from .baseline_quadratic import QuadModel, fit_quadratic
 from .collage_fit import D_MAX_DEFAULT, FitReport, Series, fit_d_discrete
 from .datasets import (
     NormalizationParams,
@@ -33,7 +33,7 @@ from .datasets import (
     normalize,
     select_knots,
 )
-from .ifs_core import FifModel, Knots, build_model, default_depth, evaluate_fif
+from .ifs_core import FifModel, Knots, build_model
 
 SCHEMA_VERSION = "1"
 
@@ -95,7 +95,7 @@ def model_to_payload(
     else:
         kind = "quadratic"
         parameters = {
-            "coefficients": [[float(c) for c in triple] for triple in model.coeffs],
+            "coefficients": model.coeffs.tolist(),
             "chord_fallback": [bool(v) for v in model.chord_fallback],
         }
     norm = None
@@ -113,13 +113,34 @@ def model_to_payload(
     }
 
 
-#: The parameter field ``model_from_payload`` requires, per model kind.
-_PARAMETER_FIELD = {"fractal": "d", "quadratic": "coefficients"}
+#: The parameter field ``model_from_payload`` requires, per model kind, with
+#: its array shape (None: any length) and what that shape reads as.
+_PARAMETER_FIELD = {
+    "fractal": ("d", (None,), "a list of numbers"),
+    "quadratic": ("coefficients", (None, 3), "a list of [k, r, l] triples"),
+}
+
+
+def _numeric_field(path, field: str, value, shape, expected: str) -> np.ndarray:
+    """``value`` as a float array of ``shape``; a one-line ValueError naming
+    the file and the field otherwise."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nested lists
+        arr = np.array(None)
+    if (
+        arr.dtype.kind not in "iuf"
+        or arr.ndim != len(shape)
+        or any(want not in (None, got) for want, got in zip(shape, arr.shape))
+    ):
+        raise ValueError(f"{path}: model field {field!r} must be {expected}")
+    return arr.astype(float)
 
 
 def read_model_file(path) -> dict:
     """Load and validate a model payload: the schema version must be known,
-    and every field that ``model_from_payload`` and ``eval`` read present."""
+    every field that ``model_from_payload`` reads present and of the right
+    shape, and the domain the span of the knots."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")
@@ -135,9 +156,18 @@ def read_model_file(path) -> dict:
     for key in ("domain", "knots", "parameters"):
         if key not in payload:
             raise ValueError(f"{path}: missing model field {key!r}")
-    field = _PARAMETER_FIELD[kind]
-    if not isinstance(payload["parameters"], dict) or field not in payload["parameters"]:
+    field, shape, expected = _PARAMETER_FIELD[kind]
+    params = payload["parameters"]
+    if not isinstance(params, dict) or field not in params:
         raise ValueError(f"{path}: missing model field 'parameters.{field}'")
+    knots = _numeric_field(path, "knots", payload["knots"], (None, 2), "a list of [x, y] pairs")
+    domain = _numeric_field(path, "domain", payload["domain"], (2,), "a pair [a, b]")
+    _numeric_field(path, f"parameters.{field}", params[field], shape, expected)
+    span = knots[[0, -1], 0].tolist()
+    if domain.tolist() != span:
+        raise ValueError(
+            f"{path}: model field 'domain' {domain.tolist()} differs from the knot span {span}"
+        )
     return payload
 
 
@@ -274,10 +304,10 @@ def _cmd_fit(args) -> int:
         payload = model_to_payload(
             model, normalization=normalization, provenance=provenance
         )
-        rss = float(np.sum((evaluate_quad(model, series.z) - series.w) ** 2))
+        rss = float(np.sum((model(series.z) - series.w) ** 2))
         report_payload = {
             "kind": "quadratic",
-            "coefficients": [[float(c) for c in triple] for triple in model.coeffs],
+            "coefficients": model.coeffs.tolist(),
             "chord_fallback": [bool(v) for v in model.chord_fallback],
             "residual_rss": rss,
         }
@@ -302,17 +332,13 @@ def _cmd_eval(args) -> int:
     if args.grid is not None:
         if args.grid < 2:
             raise UsageError("--grid must be >= 2")
-        a, b = payload["domain"]
-        xs = np.linspace(a, b, args.grid)
+        xs = np.linspace(model.knots.a, model.knots.b, args.grid)
     else:
         xs = load_series_csv(args.at).z
 
-    if isinstance(model, FifModel):
-        values = evaluate_fif(model, xs, args.depth)
-    else:
-        if args.depth is not None:
-            raise UsageError("--depth applies only to fractal models")
-        values = evaluate_quad(model, xs)
+    if args.depth is not None and payload["kind"] != "fractal":
+        raise UsageError("--depth applies only to fractal models")
+    values = model(xs) if args.depth is None else model(xs, args.depth)
     write_series_csv(args.out, xs, values, header="x,value")
     print(f"wrote {args.out} ({xs.size} points)")
     return 0

@@ -28,7 +28,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .ifs_core import Knots, _abg_values, _frozen_array, segment_indices
+from .ifs_core import Knots, _abg_values, _frozen_array
 
 __all__ = [
     "Series",
@@ -121,24 +121,42 @@ def piecewise_constant_extension(series: Series) -> Callable:
     return extension
 
 
-def _require_alignment(series: Series, knots: Knots) -> None:
-    """Fitting preconditions: knots drawn from the series, endpoints shared."""
-    pos = np.searchsorted(series.z, knots.x)
-    ok = (pos < series.z.size) & (series.z[np.minimum(pos, series.z.size - 1)] == knots.x)
+def _segment_slices(series: Series, knots: Knots):
+    """Check the fitting preconditions (knots drawn from the series,
+    endpoints shared); return each segment's first sample index and every
+    sample's segment label.
+
+    Samples are sorted and knots are samples, so segment i is the slice
+    ``starts[i]:starts[i + 1]`` of the series (the last one runs to the end,
+    so it holds b), and per-segment sums are one ``np.add.reduceat`` over
+    ``starts``.  The labels agree with :func:`segment_indices`.
+    """
+    z = series.z
+    pos = np.searchsorted(z, knots.x)
+    ok = (pos < z.size) & (z[np.minimum(pos, z.size - 1)] == knots.x)
     if not np.all(ok):
         raise ValueError("knot abscissae must be a subset of series abscissae")
-    if knots.x[0] != series.z[0] or knots.x[-1] != series.z[-1]:
+    if knots.x[0] != z[0] or knots.x[-1] != z[-1]:
         raise ValueError("knots must span the series (endpoint abscissae differ)")
     if knots.y[0] != series.w[0] or knots.y[-1] != series.w[-1]:
         raise ValueError("endpoint knot ordinates must equal the series values")
+    starts = pos[:-1]
+    seg = np.repeat(np.arange(starts.size), np.diff(np.append(starts, z.size)))
+    return starts, seg
 
 
-def _segment_terms(series: Series, knots: Knots):
-    """Per-sample alpha, beta, and g(gamma) arrays plus segment labels."""
-    g = piecewise_constant_extension(series)
-    seg = segment_indices(knots, series.z)
+def _collage_terms(series: Series, knots: Knots):
+    """Slice starts, segment labels, and the per-sample alpha and
+    beta - g(gamma) of the collage residual."""
+    starts, seg = _segment_slices(series, knots)
     alpha, beta, gamma = _abg_values(knots, seg, series.z)
-    return seg, alpha, beta, beta - g(gamma)
+    beta -= piecewise_constant_extension(series)(gamma)
+    return starts, seg, alpha, beta
+
+
+def _collage_rss(series: Series, seg, alpha, basis, d) -> float:
+    residual = series.w - (alpha - d[seg] * basis)
+    return float(residual @ residual)
 
 
 def fit_d_discrete(
@@ -154,34 +172,23 @@ def fit_d_discrete(
     """
     if not 0.0 < d_max < 1.0:
         raise ValueError("d_max must lie in (0, 1)")
-    _require_alignment(series, knots)
-    seg, alpha, _, resid_basis = _segment_terms(series, knots)
+    starts, seg, alpha, basis = _collage_terms(series, knots)
     w = series.w
-
-    n = knots.n_segments
-    d = np.zeros(n)
-    degenerate = np.zeros(n, dtype=bool)
-    clamped = np.zeros(n, dtype=bool)
+    numerator = np.add.reduceat((alpha - w) * basis, starts)
+    denominator = np.add.reduceat(basis * basis, starts)
     eps_den = (
         1e-12
         * series.m_count
         * (np.max(np.abs(w)) + np.max(np.abs(knots.y))) ** 2
     )
-    for i in range(n):
-        mask = seg == i
-        basis = resid_basis[mask]
-        denominator = float(basis @ basis)
-        # "<=" so a denominator of exactly 0 (all-zero data makes eps_den 0
-        # too) is still caught rather than dividing 0/0.
-        if denominator <= eps_den:
-            degenerate[i] = True
-            continue
-        d[i] = float((alpha[mask] - w[mask]) @ basis) / denominator
-        if abs(d[i]) > d_max:
-            d[i] = np.sign(d[i]) * d_max
-            clamped[i] = True
+    # "<=" so a denominator of exactly 0 (all-zero data makes eps_den 0
+    # too) is still caught rather than dividing 0/0.
+    degenerate = denominator <= eps_den
+    d = np.divide(numerator, denominator, out=np.zeros(starts.size), where=~degenerate)
+    clamped = np.abs(d) > d_max
+    d[clamped] = np.sign(d[clamped]) * d_max
 
-    rss = collage_residual(series, knots, d)
+    rss = _collage_rss(series, seg, alpha, basis, d)
     contraction = float(np.max(np.abs(d)))
     return FitReport(
         d=d,
@@ -200,7 +207,5 @@ def collage_residual(series: Series, knots: Knots, d: Sequence[float]) -> float:
         raise ValueError(
             f"expected {knots.n_segments} scaling factors, got {d_arr.size}"
         )
-    _require_alignment(series, knots)
-    seg, alpha, _, resid_basis = _segment_terms(series, knots)
-    residual = series.w - (alpha - d_arr[seg] * resid_basis)
-    return float(residual @ residual)
+    _, seg, alpha, basis = _collage_terms(series, knots)
+    return _collage_rss(series, seg, alpha, basis, d_arr)

@@ -26,17 +26,15 @@ last segment additionally includes b.  Segments are indexed 0..N-1 in code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "Knots",
-    "SegmentMap",
     "FifModel",
     "SampledFunction",
     "build_model",
-    "alpha_beta_gamma",
     "segment_indices",
     "hutchinson_apply",
     "evaluate_fif",
@@ -79,9 +77,11 @@ class Knots:
         object.__setattr__(self, "y", y)
 
     @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "Knots":
-        pts = list(points)
-        return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
+    def from_points(cls, points: Sequence[tuple[float, float]]) -> "Knots":
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("knot points must be (x, y) pairs")
+        return cls(pts[:, 0], pts[:, 1])
 
     @property
     def n_segments(self) -> int:
@@ -97,33 +97,63 @@ class Knots:
 
 
 @dataclass(frozen=True)
-class SegmentMap:
-    """One affine map A(x, y) = (a x + e, c x + d y + f)."""
-
-    a: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def apply(self, x, y):
-        return self.a * x + self.e, self.c * x + self.d * y + self.f
-
-
-@dataclass(frozen=True)
 class FifModel:
-    """A fractal interpolation model: knots plus one affine map per segment."""
+    """A fractal interpolation model: knots plus one vertical scaling per
+    segment.
+
+    The maps' remaining coefficients follow from the endpoint conditions
+    A_i(x_0, y_0) = (x_{i-1}, y_{i-1}) and A_i(x_N, y_N) = (x_i, y_i), and
+    are exposed as arrays over the segments:
+
+        a_i = (x_i - x_{i-1}) / (b - a)
+        e_i = (b x_{i-1} - a x_i) / (b - a)
+        c_i = (y_i - y_{i-1} - d_i (y_N - y_0)) / (b - a)
+        f_i = (b y_{i-1} - a y_i - d_i (b y_0 - a y_N)) / (b - a)
+
+    Raises ValueError if ``len(d) != N`` or any |d_i| >= 1 (the maps must be
+    contractive for the attractor to exist).  Calling the model evaluates it
+    (see :func:`evaluate_fif`).
+    """
 
     knots: Knots
-    segments: tuple[SegmentMap, ...]
+    d: np.ndarray
 
-    @property
-    def d(self) -> np.ndarray:
-        return np.array([s.d for s in self.segments])
+    def __post_init__(self):
+        n = self.knots.n_segments
+        d = np.asarray(self.d, dtype=float)
+        if d.ndim != 1 or d.size != n:
+            raise ValueError(f"expected {n} scaling factors, got {d.size}")
+        if np.any(np.abs(d) >= 1.0):
+            raise ValueError("vertical scalings must satisfy |d_i| < 1")
+        object.__setattr__(self, "d", _frozen_array(d, "scaling factors"))
+
+    def __call__(self, x, depth: int | None = None):
+        return evaluate_fif(self, x, depth)
 
     @property
     def contraction_factor(self) -> float:
         return float(np.max(np.abs(self.d)))
+
+    @property
+    def a(self) -> np.ndarray:
+        x = self.knots.x
+        return np.diff(x) / (x[-1] - x[0])
+
+    @property
+    def e(self) -> np.ndarray:
+        x = self.knots.x
+        return (x[-1] * x[:-1] - x[0] * x[1:]) / (x[-1] - x[0])
+
+    @property
+    def c(self) -> np.ndarray:
+        x, y = self.knots.x, self.knots.y
+        return (np.diff(y) - self.d * (y[-1] - y[0])) / (x[-1] - x[0])
+
+    @property
+    def f(self) -> np.ndarray:
+        x, y = self.knots.x, self.knots.y
+        a, b = x[0], x[-1]
+        return (b * y[:-1] - a * y[1:] - self.d * (b * y[0] - a * y[-1])) / (b - a)
 
 
 @dataclass(frozen=True)
@@ -147,75 +177,9 @@ class SampledFunction:
 
 
 def build_model(knots: Knots, d: Sequence[float]) -> FifModel:
-    """Assemble the IFS whose attractor interpolates ``knots``.
-
-    The coefficients of each map are pinned by the endpoint conditions
-    A_i(x_0, y_0) = (x_{i-1}, y_{i-1}) and A_i(x_N, y_N) = (x_i, y_i):
-
-        a_i = (x_i - x_{i-1}) / (b - a)
-        e_i = (b x_{i-1} - a x_i) / (b - a)
-        c_i = (y_i - y_{i-1} - d_i (y_N - y_0)) / (b - a)
-        f_i = (b y_{i-1} - a y_i - d_i (b y_0 - a y_N)) / (b - a)
-
-    Raises ValueError if ``len(d) != N`` or any |d_i| >= 1 (the maps must be
-    contractive for the attractor to exist).
-    """
-    d_arr = np.asarray(d, dtype=float)
-    if d_arr.ndim != 1 or d_arr.size != knots.n_segments:
-        raise ValueError(
-            f"expected {knots.n_segments} scaling factors, got {d_arr.size}"
-        )
-    if np.any(np.abs(d_arr) >= 1.0):
-        raise ValueError("vertical scalings must satisfy |d_i| < 1")
-
-    x, y = knots.x, knots.y
-    a, b = x[0], x[-1]
-    y0, yn = y[0], y[-1]
-    width = b - a
-    segments = []
-    for i in range(knots.n_segments):
-        xl, xr = x[i], x[i + 1]
-        yl, yr = y[i], y[i + 1]
-        di = d_arr[i]
-        segments.append(
-            SegmentMap(
-                a=(xr - xl) / width,
-                c=(yr - yl - di * (yn - y0)) / width,
-                d=float(di),
-                e=(b * xl - a * xr) / width,
-                f=(b * yl - a * yr - di * (b * y0 - a * yn)) / width,
-            )
-        )
-    return FifModel(knots=knots, segments=tuple(segments))
-
-
-def alpha_beta_gamma(
-    knots: Knots, segment: int
-) -> tuple[tuple[float, float], tuple[float, float], tuple[float, float]]:
-    """Coefficients (slope, intercept) of the segment's three affine functions.
-
-    For segment i (0-based, spanning [x_i, x_{i+1}]):
-
-    * alpha interpolates (x_i, y_i) and (x_{i+1}, y_{i+1}),
-    * beta sends x_i -> y_0 and x_{i+1} -> y_N,
-    * gamma maps [x_i, x_{i+1}] onto [a, b]; it is the inverse of the
-      horizontal part of the segment map.
-    """
-    n = knots.n_segments
-    if not 0 <= segment < n:
-        raise ValueError(f"segment index {segment} out of range 0..{n - 1}")
-    x, y = knots.x, knots.y
-    xl, xr = x[segment], x[segment + 1]
-    yl, yr = y[segment], y[segment + 1]
-    a, b = x[0], x[-1]
-    y0, yn = y[0], y[-1]
-    width = xr - xl
-
-    def line(vl: float, vr: float) -> tuple[float, float]:
-        slope = (vr - vl) / width
-        return float(slope), float(vl - slope * xl)
-
-    return line(yl, yr), line(y0, yn), line(a, b)
+    """Assemble the IFS whose attractor interpolates ``knots``; see
+    :class:`FifModel` for the map coefficients and the checks on ``d``."""
+    return FifModel(knots, d)
 
 
 def segment_indices(knots: Knots, x) -> np.ndarray:

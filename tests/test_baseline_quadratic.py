@@ -98,14 +98,19 @@ def test_monomial_coeffs_match_evaluation():
 
 
 def test_chord_fallback_on_empty_segment():
-    # adjacent knots leave segment 0 with no strictly interior samples
     z = np.arange(1.0, 21.0)
     rng = np.random.default_rng(2)
     series = Series(z, rng.standard_normal(20))
-    knots = select_knots(series, "manual", indices=[2, 10])
-    model = fit_quadratic(series, knots)
-    assert model.chord_fallback.tolist() == [True, False, False]
-    assert model.curvature[0] == 0.0
+    cases = [
+        # adjacent knots leave segment 0 with no strictly interior samples
+        ([2, 10], [True, False, False]),
+        # the last segment's slice holds the closing sample b as well
+        ([5, 12, 19], [False, False, False, True]),
+    ]
+    for indices, expected in cases:
+        model = fit_quadratic(series, select_knots(series, "manual", indices=indices))
+        assert model.chord_fallback.tolist() == expected
+        assert np.all(model.curvature[model.chord_fallback] == 0.0)
 
 
 def test_optimality_perturbation():
@@ -143,6 +148,31 @@ def test_matches_brute_force_scan():
             if r[k] < best_r:
                 best_r, best = r[k], chunk[k]
         assert abs(best - model.curvature[i]) < 1e-3
+
+
+def test_matches_per_segment_loop():
+    # the per-segment masked loop over interior samples, kept as the
+    # reference for the single reduceat over whole segment slices; the sums
+    # only change order, so agreement is to rounding
+    rng = np.random.default_rng(12)
+    z = np.arange(1.0, 401.0)
+    series = Series(z, np.cumsum(rng.standard_normal(400)))
+    for _ in range(10):
+        interior = np.sort(rng.choice(np.arange(2, 400), int(rng.integers(1, 60)), replace=False))
+        knots = select_knots(series, "manual", indices=interior.tolist())
+        model = fit_quadratic(series, knots)
+        x, y = knots.x, knots.y
+        for i in range(knots.n_segments):
+            inner = (z > x[i]) & (z < x[i + 1])
+            assert model.chord_fallback[i] == (not inner.any())
+            if not inner.any():
+                assert model.curvature[i] == 0.0
+                continue
+            zz, ww = z[inner], series.w[inner]
+            chord = y[i] + (y[i + 1] - y[i]) * ((zz - x[i]) / (x[i + 1] - x[i]))
+            bubble = (zz - x[i]) * (zz - x[i + 1])
+            want = float((ww - chord) @ bubble) / float(bubble @ bubble)
+            assert model.curvature[i] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_parameter_budget_matches_fractal():
@@ -211,6 +241,7 @@ def test_scalar_in_scalar_out():
     series, knots = noisy_instance(9)
     model = fit_quadratic(series, knots)
     assert isinstance(evaluate_quad(model, 1.0), float)
+    assert model(1.0) == evaluate_quad(model, 1.0)
 
 
 def test_model_validates_array_lengths():

@@ -311,6 +311,46 @@ class TestEval:
         assert code == 1
         assert err == f"error: {path}: model file must hold a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("knots", 5),
+            ("knots", [[0, 0], [1]]),
+            ("knots", [[0, "a"], [0.5, 0.5], [1, 0]]),
+            ("domain", "ab"),
+            ("domain", [0, 0.5, 1]),
+            ("parameters.d", [[0.5], [0.5]]),
+            ("parameters.d", None),
+            ("parameters.coefficients", [1, 2]),
+        ],
+    )
+    def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
+        payload = self.tent_payload()
+        if field == "parameters.coefficients":
+            payload["kind"] = "quadratic"
+            payload["parameters"]["coefficients"] = value
+        elif field == "parameters.d":
+            payload["parameters"]["d"] = value
+        else:
+            payload[field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert err.startswith(f"error: {path}: model field '{field}' must be ")
+        assert err.count("\n") == 1
+
+    def test_domain_must_be_knot_span(self, tmp_path, capsys):
+        payload = self.tent_payload()
+        payload["domain"] = [0.0, 2.0]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(payload))
+        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
+        assert code == 1
+        assert err == (
+            f"error: {path}: model field 'domain' [0.0, 2.0] differs from the knot span [0.0, 1.0]\n"
+        )
+
 
 class TestModelFile:
     def test_round_trip_is_byte_identical(self, poly_files, capsys):

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from fractalfit import (
     Knots,
     Series,
-    alpha_beta_gamma,
     collage_residual,
     fit_d_discrete,
     piecewise_constant_extension,
     select_knots,
 )
-from fractalfit.collage_fit import _segment_terms
+from fractalfit.collage_fit import _collage_terms, _segment_slices
 from fractalfit.ifs_core import _abg_values, segment_indices
 
 
@@ -155,10 +154,46 @@ class TestFit:
                 perturbed = collage_residual(series, knots, d)
                 assert perturbed >= base - 1e-12 * (1.0 + base)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_slices_match_segment_indices(self, seed):
+        rng = np.random.default_rng(seed)
+        z = np.cumsum(rng.uniform(0.1, 2.0, 300))
+        series = Series(z, rng.standard_normal(300))
+        interior = np.sort(rng.choice(np.arange(2, 299), size=int(rng.integers(1, 40)), replace=False))
+        knots = select_knots(series, "manual", indices=interior.tolist())
+        starts, seg = _segment_slices(series, knots)
+        assert np.array_equal(seg, segment_indices(knots, z))
+        assert np.array_equal(z[starts], knots.x[:-1])
+
+    @pytest.mark.parametrize("d_max", [0.99, 0.05])
+    def test_matches_per_segment_loop(self, d_max):
+        # the per-segment masked loop, kept as the reference for the single
+        # reduceat over segment slices; the sums only change order, so d
+        # agrees to rounding and every flag exactly
+        for seed in range(10):
+            series, knots = walk_instance(seed, m_count=300, interior=tuple(range(9, 290, 20)))
+            report = fit_d_discrete(series, knots, d_max)
+            seg = segment_indices(knots, series.z)
+            alpha, beta, gamma = _abg_values(knots, seg, series.z)
+            basis = beta - piecewise_constant_extension(series)(gamma)
+            w = series.w
+            eps_den = 1e-12 * series.m_count * (np.max(np.abs(w)) + np.max(np.abs(knots.y))) ** 2
+            for i in range(knots.n_segments):
+                mask = seg == i
+                den = float(basis[mask] @ basis[mask])
+                assert report.degenerate[i] == (den <= eps_den)
+                want = 0.0 if den <= eps_den else float((alpha[mask] - w[mask]) @ basis[mask]) / den
+                assert report.clamped[i] == (abs(want) > d_max)
+                want = float(np.clip(want, -d_max, d_max))
+                assert abs(report.d[i] - want) <= 1e-12
+            np.testing.assert_allclose(
+                report.collage_rss, collage_residual(series, knots, report.d), rtol=1e-12
+            )
+
     def test_matches_brute_force_scan(self):
         series, knots = walk_instance(4, m_count=120, interior=(39, 79))
         report = fit_d_discrete(series, knots)
-        seg, alpha, _, basis = _segment_terms(series, knots)
+        _, seg, alpha, basis = _collage_terms(series, knots)
         grid = np.arange(-0.999, 0.999 + 1e-9, 1e-5)
         for i in range(knots.n_segments):
             mask = seg == i
@@ -222,8 +257,8 @@ class TestResidual:
         for m in range(series.m_count):
             z = series.z[m]
             i = int(segment_indices(knots, z))
-            (sa, ia), (sb, ib), (sg, ig) = alpha_beta_gamma(knots, i)
-            phi = (sa * z + ia) - d[i] * ((sb * z + ib) - g(sg * z + ig))
+            alpha, beta, gamma = _abg_values(knots, np.array([i]), np.array([z]))
+            phi = alpha[0] - d[i] * (beta[0] - g(gamma[0]))
             total += (series.w[m] - phi) ** 2
         np.testing.assert_allclose(
             collage_residual(series, knots, d), total, rtol=1e-10

@@ -7,7 +7,6 @@ from fractalfit import (
     FifModel,
     Knots,
     SampledFunction,
-    alpha_beta_gamma,
     build_model,
     default_depth,
     evaluate_fif,
@@ -15,10 +14,16 @@ from fractalfit import (
     hutchinson_apply,
     segment_indices,
 )
+from fractalfit.ifs_core import _abg_values
 
 
 def tent_model(d=(0.5, 0.5)):
     return build_model(Knots.from_points([(0, 0), (0.5, 0.5), (1, 0)]), d)
+
+
+def apply_maps(model, x, y):
+    """Every map A_i(x, y) = (a_i x + e_i, c_i x + d_i y + f_i) at one point."""
+    return model.a * x + model.e, model.c * x + model.d * y + model.f
 
 
 def random_knots(rng, n_segments, x_span=(0.0, 1.0), y_scale=2.0):
@@ -68,15 +73,20 @@ class TestKnots:
         with pytest.raises(ValueError):
             knots.x[0] = 7.0
 
+    @pytest.mark.parametrize("points", [5, [[0, 0], [1]], [[0, 0, 0], [1, 1, 1]], []])
+    def test_from_points_rejects_non_pairs(self, points):
+        with pytest.raises(ValueError):
+            Knots.from_points(points)
+
 
 class TestBuildModel:
     def test_tent_coefficients(self):
         # symmetric tent with d = 0.5: coefficients derivable by hand
         model = tent_model()
-        assert [s.a for s in model.segments] == [0.5, 0.5]
-        assert [s.e for s in model.segments] == [0.0, 0.5]
-        assert [s.c for s in model.segments] == [0.5, -0.5]
-        assert [s.f for s in model.segments] == [0.0, 0.5]
+        assert model.a.tolist() == [0.5, 0.5]
+        assert model.e.tolist() == [0.0, 0.5]
+        assert model.c.tolist() == [0.5, -0.5]
+        assert model.f.tolist() == [0.0, 0.5]
         assert model.contraction_factor == 0.5
         assert np.array_equal(model.d, [0.5, 0.5])
 
@@ -90,6 +100,23 @@ class TestBuildModel:
         with pytest.raises(ValueError, match="expected 2"):
             build_model(knots, [0.5])
 
+    def test_model_checks_and_freezes_d(self):
+        knots = Knots.from_points([(0, 0), (1, 1), (2, 0)])
+        with pytest.raises(ValueError, match=r"\|d_i\| < 1"):
+            FifModel(knots, np.array([0.5, -1.0]))
+        with pytest.raises(ValueError, match="non-finite"):
+            FifModel(knots, [0.5, np.nan])
+        model = FifModel(knots, [0.25, 0.5])
+        with pytest.raises(ValueError):
+            model.d[0] = 0.0
+
+    def test_model_is_callable(self):
+        model = tent_model((0.3, -0.6))
+        xs = np.linspace(0.0, 1.0, 17)
+        assert np.array_equal(model(xs), evaluate_fif(model, xs))
+        assert np.array_equal(model(xs, 3), evaluate_fif(model, xs, 3))
+        assert model(0.5) == 0.5
+
     @given(knots_and_d())
     @settings(max_examples=60, deadline=None)
     def test_endpoint_mapping(self, kd):
@@ -98,15 +125,14 @@ class TestBuildModel:
         knots, d = kd
         model = build_model(knots, d)
         x, y = knots.x, knots.y
-        for i, seg in enumerate(model.segments):
-            lx, ly = seg.apply(x[0], y[0])
-            rx, ry = seg.apply(x[-1], y[-1])
-            np.testing.assert_allclose(
-                [lx, ly, rx, ry],
-                [x[i], y[i], x[i + 1], y[i + 1]],
-                rtol=1e-12,
-                atol=1e-12,
-            )
+        lx, ly = apply_maps(model, x[0], y[0])
+        rx, ry = apply_maps(model, x[-1], y[-1])
+        np.testing.assert_allclose(
+            np.column_stack([lx, ly, rx, ry]),
+            np.column_stack([x[:-1], y[:-1], x[1:], y[1:]]),
+            rtol=1e-12,
+            atol=1e-12,
+        )
 
     @given(knots_and_d())
     @settings(max_examples=40, deadline=None)
@@ -114,12 +140,12 @@ class TestBuildModel:
         # horizontal contractions tile [a, b]: sum a_i = 1 and images abut
         knots, d = kd
         model = build_model(knots, d)
-        assert abs(sum(s.a for s in model.segments) - 1.0) < 1e-12
-        images = [
-            (s.a * knots.a + s.e, s.a * knots.b + s.e) for s in model.segments
-        ]
+        assert abs(model.a.sum() - 1.0) < 1e-12
+        images = np.column_stack(
+            [model.a * knots.a + model.e, model.a * knots.b + model.e]
+        )
         np.testing.assert_allclose(
-            np.array(images).ravel(),
+            images.ravel(),
             np.repeat(knots.x, 2)[1:-1],
             rtol=1e-12,
             atol=1e-12,
@@ -127,43 +153,50 @@ class TestBuildModel:
 
 
 class TestAlphaBetaGamma:
+    # alpha, beta, gamma in the anchored form v_l + (v_r - v_l) t that
+    # evaluation and fitting share
+
     def test_tent_first_segment(self):
         knots = tent_model().knots
-        (sa, ia), (sb, ib), (sg, ig) = alpha_beta_gamma(knots, 0)
-        assert sa * 0 + ia == 0 and sa * 0.5 + ia == 0.5
-        assert sg * 0 + ig == 0 and sg * 0.5 + ig == 1.0
+        alpha, beta, gamma = _abg_values(knots, np.zeros(3, dtype=int), np.array([0.0, 0.25, 0.5]))
+        assert alpha[0] == 0 and alpha[2] == 0.5
+        assert gamma[0] == 0 and gamma[2] == 1.0
         # y0 = yN = 0 makes beta vanish identically
-        assert sb == 0 and ib == 0
+        assert np.all(beta == 0)
 
     def test_endpoint_identities(self):
         rng = np.random.default_rng(3)
         knots = random_knots(rng, 5, x_span=(2.0, 9.0))
         x, y = knots.x, knots.y
-        for i in range(knots.n_segments):
-            (sa, ia), (sb, ib), (sg, ig) = alpha_beta_gamma(knots, i)
-            np.testing.assert_allclose(sa * x[i] + ia, y[i], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sa * x[i + 1] + ia, y[i + 1], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sb * x[i] + ib, y[0], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sb * x[i + 1] + ib, y[-1], rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sg * x[i] + ig, knots.a, rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sg * x[i + 1] + ig, knots.b, rtol=1e-12, atol=1e-12)
+        seg = np.arange(knots.n_segments)
+        for at, want_alpha, want_beta, want_gamma in (
+            (x[:-1], y[:-1], y[0], knots.a),
+            (x[1:], y[1:], y[-1], knots.b),
+        ):
+            alpha, beta, gamma = _abg_values(knots, seg, at)
+            np.testing.assert_allclose(alpha, want_alpha, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(beta, want_beta, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(gamma, want_gamma, rtol=1e-12, atol=1e-12)
 
     def test_gamma_inverts_horizontal_map(self):
         rng = np.random.default_rng(4)
         knots = random_knots(rng, 4)
         model = build_model(knots, [0.1, -0.2, 0.3, 0.4])
         xs = np.linspace(knots.a, knots.b, 37)
-        for i, seg in enumerate(model.segments):
-            (sg, ig) = alpha_beta_gamma(knots, i)[2]
-            u = seg.a * xs + seg.e  # u_i maps [a,b] onto segment i
-            np.testing.assert_allclose(sg * u + ig, xs, rtol=1e-10, atol=1e-10)
+        for i in range(knots.n_segments):
+            u = model.a[i] * xs + model.e[i]  # u_i maps [a,b] onto segment i
+            gamma = _abg_values(knots, np.full(xs.size, i), u)[2]
+            np.testing.assert_allclose(gamma, xs, rtol=1e-10, atol=1e-10)
 
     def test_rejects_out_of_range(self):
-        knots = tent_model().knots
-        with pytest.raises(ValueError, match="out of range"):
-            alpha_beta_gamma(knots, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            alpha_beta_gamma(knots, -1)
+        # segment labels come only from segment_indices, which stays in
+        # 0..N-1 for any abscissa; evaluation rejects points outside [a, b]
+        model = tent_model()
+        labels = segment_indices(model.knots, [-1.0, 0.0, 0.5, 1.0, 2.0])
+        assert labels.tolist() == [0, 0, 1, 1, 1]
+        for outside in (-0.5, 1.5):
+            with pytest.raises(ValueError, match="outside model domain"):
+                model(outside)
 
 
 def test_segment_indices_half_open():
