@@ -7,8 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baseline_quadratic import fit_quadratic
-from .collage_fit import D_MAX_DEFAULT, Series, fit_d_discrete
-from .ifs_core import Knots, build_model, default_depth
+from .collage_fit import D_MAX_DEFAULT, fit_d_discrete
+from .ifs_core import Knots, Series, build_model, default_depth
 
 __all__ = ["ComparisonRow", "rms_error", "compare"]
 

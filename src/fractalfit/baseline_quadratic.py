@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs_core import Knots, _frozen_array, segment_indices
-from .collage_fit import Series, _segment_slices
+from .ifs_core import Knots, Series, _chord, _domain_points, _frozen_array, segment_indices
+from .collage_fit import _segment_slices
 
 __all__ = ["QuadModel", "fit_quadratic", "evaluate_quad"]
 
@@ -74,10 +74,9 @@ def fit_quadratic(series: Series, knots: Knots) -> QuadModel:
     (s = 0) and is flagged rather than failed.
     """
     starts, seg = _segment_slices(series, knots)
-    z, x, y = series.z, knots.x, knots.y
-    xl, xr = x[seg], x[seg + 1]
-    chord = y[seg] + (y[seg + 1] - y[seg]) * ((z - xl) / (xr - xl))
-    bubble = (z - xl) * (z - xr)
+    z, x = series.z, knots.x
+    _, chord = _chord(knots, seg, z)
+    bubble = (z - x[seg]) * (z - x[seg + 1])
     numerator = np.add.reduceat((series.w - chord) * bubble, starts)
     denominator = np.add.reduceat(bubble * bubble, starts)
     fallback = denominator == 0.0
@@ -94,15 +93,9 @@ def evaluate_quad(model: QuadModel, x):
     segment membership follows the same half-open convention as the fractal
     evaluator.
     """
-    scalar = np.ndim(x) == 0
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
     knots = model.knots
-    kx, ky = knots.x, knots.y
-    if np.any(xs < kx[0]) or np.any(xs > kx[-1]):
-        raise ValueError(f"abscissae outside model domain [{knots.a}, {knots.b}]")
+    xs = _domain_points(knots, x)
     seg = segment_indices(knots, xs)
-    xl, xr = kx[seg], kx[seg + 1]
-    t = (xs - xl) / (xr - xl)
-    chord = ky[seg] + (ky[seg + 1] - ky[seg]) * t
-    out = chord + model.curvature[seg] * (xs - xl) * (xs - xr)
-    return float(out[0]) if scalar else out
+    _, chord = _chord(knots, seg, xs)
+    out = chord + model.curvature[seg] * (xs - knots.x[seg]) * (xs - knots.x[seg + 1])
+    return float(out[0]) if np.ndim(x) == 0 else out

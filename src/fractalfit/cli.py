@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .analysis import ComparisonRow, compare
 from .baseline_quadratic import QuadModel, fit_quadratic
-from .collage_fit import D_MAX_DEFAULT, FitReport, Series, fit_d_discrete
+from .collage_fit import D_MAX_DEFAULT, fit_d_discrete
 from .datasets import (
     NormalizationParams,
     gen_dna_walk,
@@ -33,7 +33,7 @@ from .datasets import (
     normalize,
     select_knots,
 )
-from .ifs_core import FifModel, Knots, build_model
+from .ifs_core import FifModel, Knots, Series, build_model
 
 SCHEMA_VERSION = "1"
 
@@ -140,7 +140,8 @@ def _numeric_field(path, field: str, value, shape, expected: str) -> np.ndarray:
 def read_model_file(path) -> dict:
     """Load and validate a model payload: the schema version must be known,
     every field that ``model_from_payload`` reads present and of the right
-    shape, and the domain the span of the knots."""
+    shape, each per-segment flag that is present a list of one JSON boolean
+    per segment, and the domain the span of the knots."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError(f"{path}: model file must hold a JSON object")
@@ -163,6 +164,17 @@ def read_model_file(path) -> dict:
     knots = _numeric_field(path, "knots", payload["knots"], (None, 2), "a list of [x, y] pairs")
     domain = _numeric_field(path, "domain", payload["domain"], (2,), "a pair [a, b]")
     _numeric_field(path, f"parameters.{field}", params[field], shape, expected)
+    n_segments = knots.shape[0] - 1
+    for flag in ("clamped", "degenerate", "chord_fallback"):
+        value = params.get(flag, [False] * n_segments)
+        if not (
+            isinstance(value, list)
+            and len(value) == n_segments
+            and all(isinstance(v, bool) for v in value)
+        ):
+            raise ValueError(
+                f"{path}: model field 'parameters.{flag}' must be a list of {n_segments} booleans"
+            )
     span = knots[[0, -1], 0].tolist()
     if domain.tolist() != span:
         raise ValueError(
@@ -274,46 +286,27 @@ def _cmd_fit(args) -> int:
     series = load_series_csv(args.series)
     knots = _resolve_knots(args, series)
     normalization = _load_normalization(args.norm_params) if args.norm_params else None
-    provenance = _fit_provenance(args)
 
     if args.method == "fractal":
         report = fit_d_discrete(series, knots, args.d_max)
         model = build_model(knots, report.d)
-        payload = model_to_payload(
-            model,
-            flags={"clamped": report.clamped, "degenerate": report.degenerate},
-            normalization=normalization,
-            provenance=provenance,
-        )
-        report_payload = {
-            "kind": "fractal",
-            "d": [float(v) for v in report.d],
-            "clamped": [bool(v) for v in report.clamped],
-            "degenerate": [bool(v) for v in report.degenerate],
+        flags = {"clamped": report.clamped, "degenerate": report.degenerate}
+        statistics = {
             "collage_rss": report.collage_rss,
             "contraction_factor": report.contraction_factor,
             "collage_bound": report.collage_bound,
         }
-        flagged = [
-            f"segment {i}: {kind}"
-            for kind, flags in (("clamped", report.clamped), ("degenerate", report.degenerate))
-            for i in np.nonzero(flags)[0]
-        ]
     else:
         model = fit_quadratic(series, knots)
-        payload = model_to_payload(
-            model, normalization=normalization, provenance=provenance
-        )
-        rss = float(np.sum((model(series.z) - series.w) ** 2))
-        report_payload = {
-            "kind": "quadratic",
-            "coefficients": model.coeffs.tolist(),
-            "chord_fallback": [bool(v) for v in model.chord_fallback],
-            "residual_rss": rss,
-        }
-        flagged = [
-            f"segment {i}: chord fallback" for i in np.nonzero(model.chord_fallback)[0]
-        ]
+        flags = {"chord fallback": model.chord_fallback}
+        statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
+    payload = model_to_payload(
+        model, flags=flags, normalization=normalization, provenance=_fit_provenance(args)
+    )
+    report_payload = {"kind": payload["kind"], **payload["parameters"], **statistics}
+    flagged = [
+        f"segment {i}: {kind}" for kind, mask in flags.items() for i in np.nonzero(mask)[0]
+    ]
 
     write_model_file(args.out_model, payload)
     write_json(args.out_report, report_payload)

@@ -24,15 +24,15 @@ closed, so every sample contributes exactly once).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .ifs_core import Knots, _abg_values, _frozen_array
+from .ifs_core import Knots, Series, _abg_values, _frozen_array
 
 __all__ = [
-    "Series",
     "FitReport",
+    "D_MAX_DEFAULT",
     "piecewise_constant_extension",
     "fit_d_discrete",
     "collage_residual",
@@ -42,35 +42,6 @@ __all__ = [
 #: the closed form can exceed 1 on adversarial data, which would break the
 #: contraction the whole construction rests on.
 D_MAX_DEFAULT = 0.99
-
-
-@dataclass(frozen=True)
-class Series:
-    """Discrete data (z_m, w_m), m = 1..M, with strictly increasing z."""
-
-    z: np.ndarray
-    w: np.ndarray
-
-    def __post_init__(self):
-        z = _frozen_array(self.z, "series abscissae")
-        w = _frozen_array(self.w, "series ordinates")
-        if z.size != w.size:
-            raise ValueError("series abscissae and ordinates differ in length")
-        if z.size < 2:
-            raise ValueError("need at least 2 samples")
-        if not np.all(np.diff(z) > 0):
-            raise ValueError("series abscissae must be strictly increasing")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "w", w)
-
-    @classmethod
-    def from_points(cls, points: Iterable[tuple[float, float]]) -> "Series":
-        pts = list(points)
-        return cls(np.array([p[0] for p in pts]), np.array([p[1] for p in pts]))
-
-    @property
-    def m_count(self) -> int:
-        return self.z.size
 
 
 @dataclass(frozen=True)

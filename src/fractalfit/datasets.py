@@ -22,8 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .collage_fit import Series
-from .ifs_core import Knots
+from .ifs_core import Knots, Series
 
 __all__ = [
     "NormalizationParams",

@@ -25,7 +25,7 @@ last segment additionally includes b.  Segments are indexed 0..N-1 in code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +33,7 @@ import numpy as np
 __all__ = [
     "Knots",
     "FifModel",
-    "SampledFunction",
+    "Series",
     "build_model",
     "segment_indices",
     "hutchinson_apply",
@@ -53,8 +53,38 @@ def _frozen_array(values, name: str) -> np.ndarray:
     return arr
 
 
+class _SortedPairs:
+    """The sample frame that :class:`Knots` and :class:`Series` share: two
+    finite one-dimensional arrays of equal length, at least ``_MIN_COUNT``
+    long, with strictly increasing abscissae, frozen after the checks."""
+
+    _NOUN: str
+    _MIN_COUNT: int
+    _TOO_FEW: str
+
+    def __post_init__(self):
+        xname, yname = (field.name for field in fields(self))
+        x = _frozen_array(getattr(self, xname), f"{self._NOUN} abscissae")
+        y = _frozen_array(getattr(self, yname), f"{self._NOUN} ordinates")
+        if x.size != y.size:
+            raise ValueError(f"{self._NOUN} abscissae and ordinates differ in length")
+        if x.size < self._MIN_COUNT:
+            raise ValueError(self._TOO_FEW)
+        if not np.all(np.diff(x) > 0):
+            raise ValueError(f"{self._NOUN} abscissae must be strictly increasing")
+        object.__setattr__(self, xname, x)
+        object.__setattr__(self, yname, y)
+
+    @classmethod
+    def from_points(cls, points: Sequence[tuple[float, float]]):
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError(f"{cls._NOUN} points must be (x, y) pairs")
+        return cls(pts[:, 0], pts[:, 1])
+
+
 @dataclass(frozen=True)
-class Knots:
+class Knots(_SortedPairs):
     """Interpolation points (x_i, y_i), i = 0..N, with strictly increasing x.
 
     N = len(x) - 1 is the number of segments; at least two segments are
@@ -64,24 +94,9 @@ class Knots:
     x: np.ndarray
     y: np.ndarray
 
-    def __post_init__(self):
-        x = _frozen_array(self.x, "knot abscissae")
-        y = _frozen_array(self.y, "knot ordinates")
-        if x.size != y.size:
-            raise ValueError("knot abscissae and ordinates differ in length")
-        if x.size < 3:
-            raise ValueError("need at least 3 knots (2 segments)")
-        if not np.all(np.diff(x) > 0):
-            raise ValueError("knot abscissae must be strictly increasing")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    @classmethod
-    def from_points(cls, points: Sequence[tuple[float, float]]) -> "Knots":
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("knot points must be (x, y) pairs")
-        return cls(pts[:, 0], pts[:, 1])
+    _NOUN = "knot"
+    _MIN_COUNT = 3
+    _TOO_FEW = "need at least 3 knots (2 segments)"
 
     @property
     def n_segments(self) -> int:
@@ -94,6 +109,24 @@ class Knots:
     @property
     def b(self) -> float:
         return float(self.x[-1])
+
+
+@dataclass(frozen=True)
+class Series(_SortedPairs):
+    """Discrete data (z_m, w_m), m = 1..M, with strictly increasing z: the
+    series being fitted, and the sampled functions the Hutchinson operator
+    maps."""
+
+    z: np.ndarray
+    w: np.ndarray
+
+    _NOUN = "series"
+    _MIN_COUNT = 2
+    _TOO_FEW = "need at least 2 samples"
+
+    @property
+    def m_count(self) -> int:
+        return self.z.size
 
 
 @dataclass(frozen=True)
@@ -156,26 +189,6 @@ class FifModel:
         return (b * y[:-1] - a * y[1:] - self.d * (b * y[0] - a * y[-1])) / (b - a)
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """A function represented by values on a strictly increasing grid."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = _frozen_array(self.grid, "grid")
-        values = _frozen_array(self.values, "values")
-        if grid.size != values.size:
-            raise ValueError("grid and values differ in length")
-        if grid.size < 2:
-            raise ValueError("need at least 2 grid points")
-        if not np.all(np.diff(grid) > 0):
-            raise ValueError("grid must be strictly increasing")
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-
-
 def build_model(knots: Knots, d: Sequence[float]) -> FifModel:
     """Assemble the IFS whose attractor interpolates ``knots``; see
     :class:`FifModel` for the map coefficients and the checks on ``d``."""
@@ -189,30 +202,42 @@ def segment_indices(knots: Knots, x) -> np.ndarray:
     return np.clip(idx, 0, knots.n_segments - 1)
 
 
-def _abg_values(knots: Knots, seg: np.ndarray, x: np.ndarray):
-    """Values of alpha, beta, gamma at ``x``, given segment indices ``seg``.
+def _chord(knots: Knots, seg: np.ndarray, x: np.ndarray):
+    """Position t = (x - x_l)/(x_r - x_l) of ``x`` in its segment ``seg``,
+    and alpha(x), the chord through the segment's endpoint knots.
 
-    Evaluated in the anchored form v_l + (v_r - v_l) * t with
-    t = (x - x_l)/(x_r - x_l), which returns segment endpoint values exactly
-    (no slope/intercept cancellation even for abscissae ~1e4).
+    The chord is taken in the anchored form y_l + (y_r - y_l) * t, which
+    returns segment endpoint values exactly (no slope/intercept cancellation
+    even for abscissae ~1e4).
     """
     kx, ky = knots.x, knots.y
     xl = kx[seg]
     t = (x - xl) / (kx[seg + 1] - xl)
-    alpha = ky[seg] + (ky[seg + 1] - ky[seg]) * t
+    return t, ky[seg] + (ky[seg + 1] - ky[seg]) * t
+
+
+def _abg_values(knots: Knots, seg: np.ndarray, x: np.ndarray):
+    """Values of alpha, beta, gamma at ``x``, given segment indices ``seg``,
+    all in the anchored form of :func:`_chord`."""
+    kx, ky = knots.x, knots.y
+    t, alpha = _chord(knots, seg, x)
     beta = ky[0] + (ky[-1] - ky[0]) * t
     gamma = kx[0] + (kx[-1] - kx[0]) * t
     return alpha, beta, gamma
 
 
-def _require_in_domain(knots: Knots, x: np.ndarray) -> None:
-    if np.any(x < knots.x[0]) or np.any(x > knots.x[-1]):
+def _domain_points(knots: Knots, x) -> np.ndarray:
+    """``x``, a scalar or an array, as a 1-D float array; raises ValueError
+    if any point lies outside [a, b]."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(xs < knots.x[0]) or np.any(xs > knots.x[-1]):
         raise ValueError(
             f"abscissae outside model domain [{knots.a}, {knots.b}]"
         )
+    return xs
 
 
-def hutchinson_apply(model: FifModel, g: SampledFunction) -> SampledFunction:
+def hutchinson_apply(model: FifModel, g: Series) -> Series:
     """One application of the function-space operator Phi to ``g``.
 
     Returns Phi(g) sampled on the same grid; g(gamma_i(x)) is obtained by
@@ -221,13 +246,13 @@ def hutchinson_apply(model: FifModel, g: SampledFunction) -> SampledFunction:
     the whole of it.
     """
     knots = model.knots
-    if g.grid[0] != knots.x[0] or g.grid[-1] != knots.x[-1]:
+    if g.z[0] != knots.x[0] or g.z[-1] != knots.x[-1]:
         raise ValueError("grid endpoints must coincide with the model domain")
-    seg = segment_indices(knots, g.grid)
-    alpha, beta, gamma = _abg_values(knots, seg, g.grid)
+    seg = segment_indices(knots, g.z)
+    alpha, beta, gamma = _abg_values(knots, seg, g.z)
     d = model.d
-    g_at_gamma = np.interp(gamma, g.grid, g.values)
-    return SampledFunction(g.grid, alpha - d[seg] * (beta - g_at_gamma))
+    g_at_gamma = np.interp(gamma, g.z, g.w)
+    return Series(g.z, alpha - d[seg] * (beta - g_at_gamma))
 
 
 def evaluate_fif(model: FifModel, x, depth: int | None = None):
@@ -250,10 +275,8 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
         depth = default_depth(model)
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    scalar = np.ndim(x) == 0
-    cur = np.atleast_1d(np.asarray(x, dtype=float)).copy()
     knots = model.knots
-    _require_in_domain(knots, cur)
+    cur = _domain_points(knots, x)
 
     a, b = knots.x[0], knots.x[-1]
     y0, yn = knots.y[0], knots.y[-1]
@@ -273,7 +296,7 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
         cur = np.clip(gamma, a, b)
     base = y0 + (yn - y0) * (cur - a) / (b - a)
     out = acc_offset + acc_scale * base
-    return float(out[0]) if scalar else out
+    return float(out[0]) if np.ndim(x) == 0 else out
 
 
 def default_depth(model: FifModel, *, tol: float = 1e-9, cap: int = 48) -> int:
@@ -303,5 +326,5 @@ def fixed_point_residual(
         raise ValueError("grid resolution must be >= 2")
     grid = np.linspace(model.knots.a, model.knots.b, grid_resolution)
     values = evaluate_fif(model, grid, depth)
-    image = hutchinson_apply(model, SampledFunction(grid, values))
-    return float(np.max(np.abs(image.values - values)))
+    image = hutchinson_apply(model, Series(grid, values))
+    return float(np.max(np.abs(image.w - values)))

@@ -30,7 +30,7 @@ from fractalfit import (
     rms_error,
     segment_indices,
     select_knots,
-    SampledFunction,
+    Series,
 )
 from fractalfit.cli import main as cli_main
 
@@ -299,10 +299,10 @@ def test_criterion_5_contraction_and_convergence(acceptance_log):
         maxd = float(np.abs(d).max())
 
         grid = np.linspace(0.0, length, 16385)
-        g = SampledFunction(grid, rng.normal(0.0, 1.0, grid.size))
-        h = SampledFunction(grid, rng.normal(0.0, 1.0, grid.size))
-        diff_in = g.values - h.values
-        diff_out = hutchinson_apply(model, g).values - hutchinson_apply(model, h).values
+        g = Series(grid, rng.normal(0.0, 1.0, grid.size))
+        h = Series(grid, rng.normal(0.0, 1.0, grid.size))
+        diff_in = g.w - h.w
+        diff_out = hutchinson_apply(model, g).w - hutchinson_apply(model, h).w
 
         sup_ratio = float(np.abs(diff_out).max() / np.abs(diff_in).max())
         l2_ratio = float(

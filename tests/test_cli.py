@@ -322,15 +322,21 @@ class TestEval:
             ("parameters.d", [[0.5], [0.5]]),
             ("parameters.d", None),
             ("parameters.coefficients", [1, 2]),
+            ("parameters.chord_fallback", [1, 2, 3]),
+            ("parameters.chord_fallback", [True, False, "x"]),
+            ("parameters.chord_fallback", [1, 0]),
+            ("parameters.chord_fallback", [True]),
+            ("parameters.clamped", ["x", 7]),
+            ("parameters.degenerate", [False, False, False]),
         ],
     )
     def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
         payload = self.tent_payload()
-        if field == "parameters.coefficients":
+        if field in ("parameters.coefficients", "parameters.chord_fallback"):
             payload["kind"] = "quadratic"
-            payload["parameters"]["coefficients"] = value
-        elif field == "parameters.d":
-            payload["parameters"]["d"] = value
+            payload["parameters"]["coefficients"] = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0]]
+        if field.startswith("parameters."):
+            payload["parameters"][field.split(".", 1)[1]] = value
         else:
             payload[field] = value
         path = tmp_path / "bad.json"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalfit import (
+    FitReport,
     Knots,
     Series,
     collage_residual,
@@ -42,10 +43,26 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series(np.array([1.0, 2.0]), np.zeros(3))
 
+    def test_rejects_two_dimensional_abscissae(self):
+        with pytest.raises(ValueError, match="series abscissae must be one-dimensional"):
+            Series(np.array([[0.0, 1.0], [2.0, 3.0]]), np.zeros(4))
+
     def test_from_points_and_m_count(self):
         series = Series.from_points([(0, 5.0), (1, 6.0), (2, 7.0)])
         assert series.m_count == 3
         assert series.w.tolist() == [5.0, 6.0, 7.0]
+
+
+def test_fit_report_rejects_ragged_arrays():
+    with pytest.raises(ValueError, match="report arrays differ in length"):
+        FitReport(
+            d=[0.1, 0.2],
+            clamped=[False],
+            degenerate=[False, False],
+            collage_rss=0.0,
+            contraction_factor=0.2,
+            collage_bound=0.0,
+        )
 
 
 class TestExtension:

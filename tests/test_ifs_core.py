@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fractalfit import (
     FifModel,
     Knots,
-    SampledFunction,
+    Series,
     build_model,
     default_depth,
     evaluate_fif,
@@ -67,6 +67,10 @@ class TestKnots:
             Knots(np.array([0.0, 1.0, 2.0]), np.zeros(4))
         with pytest.raises(ValueError, match="non-finite"):
             Knots(np.array([0.0, 1.0, 2.0]), np.array([0.0, np.nan, 1.0]))
+
+    def test_rejects_two_dimensional_abscissae(self):
+        with pytest.raises(ValueError, match="knot abscissae must be one-dimensional"):
+            Knots(np.array([[0.0, 1.0, 2.0]]), np.zeros(3))
 
     def test_arrays_immutable(self):
         knots = tent_model().knots
@@ -210,10 +214,10 @@ class TestHutchinson:
         knots = Knots.from_points([(0, 1), (1, 3), (2, 0), (3, 2)])
         model = build_model(knots, [0.0, 0.0, 0.0])
         grid = np.linspace(0, 3, 301)
-        g = SampledFunction(grid, np.sin(grid))  # arbitrary start
+        g = Series(grid, np.sin(grid))  # arbitrary start
         out = hutchinson_apply(model, g)
         np.testing.assert_allclose(
-            out.values, np.interp(grid, knots.x, knots.y), atol=1e-12
+            out.w, np.interp(grid, knots.x, knots.y), atol=1e-12
         )
 
     def test_chord_start_interpolates_knots(self):
@@ -224,19 +228,19 @@ class TestHutchinson:
         chord = knots.y[0] + (knots.y[-1] - knots.y[0]) * (grid - knots.a) / (
             knots.b - knots.a
         )
-        out = hutchinson_apply(model, SampledFunction(grid, chord))
-        at_knots = out.values[np.searchsorted(grid, knots.x)]
+        out = hutchinson_apply(model, Series(grid, chord))
+        at_knots = out.w[np.searchsorted(grid, knots.x)]
         np.testing.assert_allclose(at_knots, knots.y, rtol=1e-12, atol=1e-12)
 
     def test_successive_iterates_contract(self):
         # tent model: gap between iterates must shrink by at least d = 0.5
         model = tent_model()
         grid = np.linspace(0, 1, 1025)
-        cur = SampledFunction(grid, np.zeros_like(grid))
+        cur = Series(grid, np.zeros_like(grid))
         gaps = []
         for _ in range(12):
             nxt = hutchinson_apply(model, cur)
-            gaps.append(np.max(np.abs(nxt.values - cur.values)))
+            gaps.append(np.max(np.abs(nxt.w - cur.w)))
             cur = nxt
         gaps = np.array(gaps)
         # on a dyadic grid the iteration lands on the attractor exactly, so
@@ -248,19 +252,9 @@ class TestHutchinson:
 
     def test_rejects_grid_not_spanning_domain(self):
         model = tent_model()
-        g = SampledFunction(np.linspace(0, 0.9, 10), np.zeros(10))
+        g = Series(np.linspace(0, 0.9, 10), np.zeros(10))
         with pytest.raises(ValueError, match="domain"):
             hutchinson_apply(model, g)
-
-
-class TestSampledFunction:
-    def test_rejects_non_increasing_grid(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            SampledFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            SampledFunction(np.array([0.0, 1.0]), np.zeros(3))
 
 
 class TestEvaluate:
@@ -301,13 +295,13 @@ class TestEvaluate:
         # the pointwise recursion and the grid operator must agree at depth n
         model = tent_model(d=(0.4, -0.35))
         grid = np.linspace(0, 1, 2049)
-        g = SampledFunction(
+        g = Series(
             grid, model.knots.y[0] + (model.knots.y[-1] - model.knots.y[0]) * grid
         )
         for _ in range(6):
             g = hutchinson_apply(model, g)
         np.testing.assert_allclose(
-            evaluate_fif(model, grid, 6), g.values, atol=1e-10
+            evaluate_fif(model, grid, 6), g.w, atol=1e-10
         )
 
     def test_depth_convergence_rate(self):
