@@ -16,7 +16,9 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -40,7 +42,7 @@ SCHEMA_VERSION = "1"
 __all__ = [
     "main",
     "read_model_file",
-    "write_model_file",
+    "write_json",
     "model_from_payload",
     "model_to_payload",
     "write_series_csv",
@@ -50,6 +52,19 @@ __all__ = [
 
 class UsageError(Exception):
     """Bad flag combination or argument value; exits with code 2."""
+
+
+def _read(path, parse):
+    """``parse(path)``: the one boundary every input file passes through.  A
+    ValueError it raises, or the RecursionError of too deeply nested JSON,
+    becomes a ValueError naming ``path`` exactly once."""
+    try:
+        return parse(path)
+    except (ValueError, RecursionError) as exc:
+        message = str(exc)
+        if not message.startswith(f"{path}: "):
+            message = f"{path}: {message}"
+        raise ValueError(message) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +86,40 @@ def write_series_csv(path, x, y, header: str = "z,w") -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+@dataclass(frozen=True)
+class _Kind:
+    """What a model file of one kind holds beyond the shared knots and
+    domain: one parameter ``field`` with ``shape`` per segment (``noun``
+    names its entries), and per-segment boolean ``flags``.  ``takes_depth``:
+    whether evaluation accepts a pre-fractal depth.  ``parameters`` reads
+    the field's array off a model; ``build`` makes the model from knots,
+    that array and the flags."""
+
+    model: type
+    field: str
+    shape: tuple[int, ...]
+    noun: str
+    flags: tuple[str, ...]
+    takes_depth: bool
+    parameters: Callable
+    build: Callable
+
+
+#: The model kinds, by the ``kind`` a model file names.
+_KINDS = {
+    "fractal": _Kind(
+        FifModel, "d", (), "finite numbers", ("clamped", "degenerate"),
+        takes_depth=True,
+        parameters=lambda model: model.d,
+        build=lambda knots, d, flags: build_model(knots, d),
+    ),
+    "quadratic": _Kind(
+        QuadModel, "coefficients", (3,), "finite [k, r, l] rows", ("chord_fallback",),
+        takes_depth=False,
+        parameters=lambda model: model.coeffs,
+        build=lambda knots, coeffs, flags: QuadModel(knots, coeffs[:, 0], flags["chord_fallback"]),
+    ),
+}
 
 
 def model_to_payload(
@@ -82,119 +129,103 @@ def model_to_payload(
     normalization: NormalizationParams | None = None,
     provenance: dict | None = None,
 ) -> dict:
-    """JSON-ready dict for a fitted model (see module docstring for layout)."""
-    flags = flags or {}
+    """JSON-ready dict for a fitted model (see module docstring for layout).
+    A flag the model carries (``chord_fallback``) is read off the model, the
+    others (``clamped``, ``degenerate``) from ``flags``; absent ones are all
+    False."""
+    kind, spec = next((k, s) for k, s in _KINDS.items() if isinstance(model, s.model))
     knots = model.knots
-    if isinstance(model, FifModel):
-        kind = "fractal"
-        parameters = {
-            "d": [float(v) for v in model.d],
-            "clamped": [bool(v) for v in flags.get("clamped", [False] * knots.n_segments)],
-            "degenerate": [bool(v) for v in flags.get("degenerate", [False] * knots.n_segments)],
-        }
-    else:
-        kind = "quadratic"
-        parameters = {
-            "coefficients": model.coeffs.tolist(),
-            "chord_fallback": [bool(v) for v in model.chord_fallback],
-        }
-    norm = None
-    if normalization is not None:
-        norm = {"s1": float(normalization.s1), "s2": float(normalization.s2)}
+    flags = flags or {}
+    default = [False] * knots.n_segments
+    parameters = {spec.field: spec.parameters(model).tolist()}
+    for name in spec.flags:
+        parameters[name] = [bool(v) for v in getattr(model, name, flags.get(name, default))]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "domain": [knots.a, knots.b],
         "knots": [[float(x), float(y)] for x, y in zip(knots.x, knots.y)],
         "parameters": parameters,
-        "normalization": norm,
+        "normalization": None if normalization is None else asdict(normalization),
         "provenance": provenance
         or {"input_sha256": None, "seed": None, "tool_version": __version__},
     }
 
 
-#: The parameter field ``model_from_payload`` requires, per model kind, with
-#: its array shape (None: any length) and what that shape reads as.
-_PARAMETER_FIELD = {
-    "fractal": ("d", (None,), "a list of numbers"),
-    "quadratic": ("coefficients", (None, 3), "a list of [k, r, l] triples"),
-}
-
-
-def _numeric_field(path, field: str, value, shape, expected: str) -> np.ndarray:
-    """``value`` as a float array of ``shape``; a one-line ValueError naming
-    the file and the field otherwise."""
+def _array_field(
+    field: str, value, shape: tuple[int, ...], expected: str, kinds: str = "iuf"
+) -> np.ndarray:
+    """``value`` as a finite float array of exactly ``shape`` whose entries
+    are of the numpy ``kinds`` (default numbers; ``"b"``: JSON booleans); a
+    one-line ValueError naming the field otherwise."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nested lists
         arr = np.array(None)
-    if (
-        arr.dtype.kind not in "iuf"
-        or arr.ndim != len(shape)
-        or any(want not in (None, got) for want, got in zip(shape, arr.shape))
-    ):
-        raise ValueError(f"{path}: model field {field!r} must be {expected}")
+    if arr.dtype.kind not in kinds or arr.shape != shape or not np.isfinite(arr).all():
+        raise ValueError(f"model field {field!r} must be {expected}")
     return arr.astype(float)
 
 
 def read_model_file(path) -> dict:
-    """Load and validate a model payload: the schema version must be known,
-    every field that ``model_from_payload`` reads present and of the right
-    shape, each per-segment flag that is present a list of one JSON boolean
-    per segment, and the domain the span of the knots."""
+    """Load and validate a model payload: the schema version and kind must be
+    known, every field that ``model_from_payload`` reads present, numeric and
+    finite, the kind's parameter field one entry per segment, each of its
+    flags that is present a list of one JSON boolean per segment, and the
+    domain the span of the knots.  The knots themselves are checked when
+    the model is built."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
-        raise ValueError(f"{path}: model file must hold a JSON object")
+        raise ValueError("model file must hold a JSON object")
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(
-            f"{path}: unsupported model schema version {version!r} "
-            f"(expected {SCHEMA_VERSION!r})"
+            f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION!r})"
         )
     kind = payload.get("kind")
-    if kind not in _PARAMETER_FIELD:
-        raise ValueError(f"{path}: unknown model kind {kind!r}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
     for key in ("domain", "knots", "parameters"):
         if key not in payload:
-            raise ValueError(f"{path}: missing model field {key!r}")
-    field, shape, expected = _PARAMETER_FIELD[kind]
+            raise ValueError(f"missing model field {key!r}")
+    spec = _KINDS[kind]
     params = payload["parameters"]
-    if not isinstance(params, dict) or field not in params:
-        raise ValueError(f"{path}: missing model field 'parameters.{field}'")
-    knots = _numeric_field(path, "knots", payload["knots"], (None, 2), "a list of [x, y] pairs")
-    domain = _numeric_field(path, "domain", payload["domain"], (2,), "a pair [a, b]")
-    _numeric_field(path, f"parameters.{field}", params[field], shape, expected)
-    n_segments = knots.shape[0] - 1
-    for flag in ("clamped", "degenerate", "chord_fallback"):
-        value = params.get(flag, [False] * n_segments)
-        if not (
-            isinstance(value, list)
-            and len(value) == n_segments
-            and all(isinstance(v, bool) for v in value)
-        ):
-            raise ValueError(
-                f"{path}: model field 'parameters.{flag}' must be a list of {n_segments} booleans"
-            )
+    if not isinstance(params, dict) or spec.field not in params:
+        raise ValueError(f"missing model field 'parameters.{spec.field}'")
+    points = payload["knots"]
+    n_knots = len(points) if isinstance(points, list) else 0
+    knots = _array_field("knots", points, (n_knots, 2), "a list of finite [x, y] pairs")
+    domain = _array_field("domain", payload["domain"], (2,), "a finite pair [a, b]")
+    n = n_knots - 1
+    field = f"parameters.{spec.field}"
+    _array_field(field, params[spec.field], (n, *spec.shape), f"a list of {n} {spec.noun}")
+    for name in spec.flags:
+        if name in params:
+            expected = f"a list of {n} booleans"
+            _array_field(f"parameters.{name}", params[name], (n,), expected, kinds="b")
     span = knots[[0, -1], 0].tolist()
     if domain.tolist() != span:
         raise ValueError(
-            f"{path}: model field 'domain' {domain.tolist()} differs from the knot span {span}"
+            f"model field 'domain' {domain.tolist()} differs from the knot span {span}"
         )
     return payload
 
 
-def write_model_file(path, payload) -> None:
-    write_json(path, payload)
-
-
 def model_from_payload(payload) -> FifModel | QuadModel:
+    spec = _KINDS[payload["kind"]]
     knots = Knots.from_points(payload["knots"])
     params = payload["parameters"]
-    if payload["kind"] == "fractal":
-        return build_model(knots, params["d"])
-    curvature = np.array([k for k, _, _ in params["coefficients"]])
-    fallback = params.get("chord_fallback", [False] * knots.n_segments)
-    return QuadModel(knots=knots, curvature=curvature, chord_fallback=np.asarray(fallback))
+    flags = {name: params.get(name, [False] * knots.n_segments) for name in spec.flags}
+    return spec.build(knots, np.asarray(params[spec.field], dtype=float), flags)
+
+
+def _parse_normalization(path) -> NormalizationParams:
+    """The ``{"s1": ..., "s2": ...}`` params file that ``gen`` writes."""
+    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    values = [payload.get("s1"), payload.get("s2")] if isinstance(payload, dict) else [None]
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError("normalization params must be a JSON object with finite numbers s1, s2")
+    return NormalizationParams(*map(float, values))
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +269,6 @@ def _resolve_knots(args, series: Series) -> Knots:
     )
 
 
-def _load_normalization(path) -> NormalizationParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return NormalizationParams(s1=float(payload["s1"]), s2=float(payload["s2"]))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -253,7 +279,7 @@ def _cmd_gen(args) -> int:
             raise UsageError("--kind dna requires --input (plain text or FASTA)")
         if args.m is not None:
             raise UsageError("--m is not meaningful with --kind dna")
-        raw = gen_dna_walk(Path(args.input).read_text(encoding="utf-8"))
+        raw = _read(args.input, lambda path: gen_dna_walk(Path(path).read_text(encoding="utf-8")))
     else:
         if args.m is None:
             raise UsageError(f"--kind {args.kind} requires --m")
@@ -269,23 +295,15 @@ def _cmd_gen(args) -> int:
     params_path = out.with_name(out.stem + ".params.json")
     write_series_csv(out, normalized.z, normalized.w)
     write_series_csv(raw_path, raw.z, raw.w)
-    write_json(params_path, {"s1": params.s1, "s2": params.s2})
+    write_json(params_path, asdict(params))
     print(f"wrote {out} ({normalized.m_count} samples), {raw_path}, {params_path}")
     return 0
 
 
-def _fit_provenance(args) -> dict:
-    return {
-        "input_sha256": _sha256(args.series),
-        "seed": None,
-        "tool_version": __version__,
-    }
-
-
 def _cmd_fit(args) -> int:
-    series = load_series_csv(args.series)
+    series = _read(args.series, load_series_csv)
     knots = _resolve_knots(args, series)
-    normalization = _load_normalization(args.norm_params) if args.norm_params else None
+    normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
 
     if args.method == "fractal":
         report = fit_d_discrete(series, knots, args.d_max)
@@ -300,15 +318,17 @@ def _cmd_fit(args) -> int:
         model = fit_quadratic(series, knots)
         flags = {"chord fallback": model.chord_fallback}
         statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
+    sha256 = hashlib.sha256(Path(args.series).read_bytes()).hexdigest()
+    provenance = {"input_sha256": sha256, "seed": None, "tool_version": __version__}
     payload = model_to_payload(
-        model, flags=flags, normalization=normalization, provenance=_fit_provenance(args)
+        model, flags=flags, normalization=normalization, provenance=provenance
     )
     report_payload = {"kind": payload["kind"], **payload["parameters"], **statistics}
     flagged = [
         f"segment {i}: {kind}" for kind, mask in flags.items() for i in np.nonzero(mask)[0]
     ]
 
-    write_model_file(args.out_model, payload)
+    write_json(args.out_model, payload)
     write_json(args.out_report, report_payload)
     print(f"wrote {args.out_model}, {args.out_report}")
     if flagged and args.strict:
@@ -318,49 +338,31 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    payload = read_model_file(args.model)
-    model = model_from_payload(payload)
     if (args.grid is None) == (args.at is None):
         raise UsageError("exactly one of --grid or --at is required")
+    if args.grid is not None and args.grid < 2:
+        raise UsageError("--grid must be >= 2")
+    payload = _read(args.model, read_model_file)
+    if args.depth is not None and not _KINDS[payload["kind"]].takes_depth:
+        raise UsageError("--depth applies only to fractal models")
+    # building checks the knots and the parameter values, so their errors name the file too
+    model = _read(args.model, lambda _: model_from_payload(payload))
     if args.grid is not None:
-        if args.grid < 2:
-            raise UsageError("--grid must be >= 2")
         xs = np.linspace(model.knots.a, model.knots.b, args.grid)
     else:
-        xs = load_series_csv(args.at).z
-
-    if args.depth is not None and payload["kind"] != "fractal":
-        raise UsageError("--depth applies only to fractal models")
+        xs = _read(args.at, load_series_csv).z
     values = model(xs) if args.depth is None else model(xs, args.depth)
     write_series_csv(args.out, xs, values, header="x,value")
     print(f"wrote {args.out} ({xs.size} points)")
     return 0
 
 
-def _row_payload(row: ComparisonRow) -> dict:
-    return {
-        "name": row.name,
-        "fractal_rms": row.fractal_rms,
-        "quadratic_rms": row.quadratic_rms,
-        "collage_bound": row.collage_bound,
-        "contraction_factor": row.contraction_factor,
-        "eval_depth": row.eval_depth,
-    }
-
-
 def _render_text(rows: list[ComparisonRow]) -> str:
     header = ("dataset", "fractal_rms", "quadratic_rms", "collage_bound", "contraction", "depth")
-    table = [header] + [
-        (
-            row.name,
-            f"{row.fractal_rms:.7g}",
-            f"{row.quadratic_rms:.7g}",
-            f"{row.collage_bound:.7g}",
-            f"{row.contraction_factor:.7g}",
-            str(row.eval_depth),
-        )
-        for row in rows
-    ]
+    table = [header]
+    for row in rows:
+        name, *numbers, depth = asdict(row).values()
+        table.append((name, *(f"{v:.7g}" for v in numbers), str(depth)))
     widths = [max(len(entry[col]) for entry in table) for col in range(len(header))]
     return "\n".join(
         "  ".join(entry[col].ljust(widths[col]) for col in range(len(header))).rstrip()
@@ -369,24 +371,20 @@ def _render_text(rows: list[ComparisonRow]) -> str:
 
 
 def _cmd_compare(args) -> int:
-    rows: list[ComparisonRow] = []
     if args.all_examples:
         if args.series:
             raise UsageError("--all-examples conflicts with --series")
-        normalized, _ = normalize(gen_polynomial(10_000))
-        knots = select_knots(normalized, "manual", indices=[500, 4000, 7500])
-        rows.append(
-            compare(normalized, knots, name="polynomial", depth=args.depth, d_max=args.d_max)
-        )
+        series, _ = normalize(gen_polynomial(10_000))
+        knots = select_knots(series, "manual", indices=[500, 4000, 7500])
+        name = "polynomial"
     else:
         if not args.series:
             raise UsageError("compare requires --series or --all-examples")
-        series = load_series_csv(args.series)
+        series = _read(args.series, load_series_csv)
         knots = _resolve_knots(args, series)
         name = Path(args.series).stem
-        rows.append(compare(series, knots, name=name, depth=args.depth, d_max=args.d_max))
-
-    payload = {"rows": [_row_payload(row) for row in rows]}
+    rows = [compare(series, knots, name=name, depth=args.depth, d_max=args.d_max)]
+    payload = {"rows": [asdict(row) for row in rows]}
     if args.format == "json":
         print(_json_text(payload), end="")
     else:

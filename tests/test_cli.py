@@ -1,15 +1,21 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fractalfit import (
     Knots,
+    QuadModel,
     build_model,
     compare,
     evaluate_fif,
@@ -26,7 +32,7 @@ from fractalfit.cli import (
     model_from_payload,
     model_to_payload,
     read_model_file,
-    write_model_file,
+    write_json,
 )
 
 
@@ -55,6 +61,13 @@ def fit_poly(tmp_path, capsys, *extra):
         *extra,
     )
     return code, out, err
+
+
+def tent_payload(kind="fractal") -> dict:
+    knots = Knots.from_points([(0, 0), (0.5, 0.5), (1, 0)])
+    if kind == "fractal":
+        return model_to_payload(build_model(knots, [0.5, 0.5]))
+    return model_to_payload(QuadModel(knots, [0.5, -0.5], [False, False]))
 
 
 class TestGen:
@@ -162,6 +175,18 @@ class TestFit:
         sidecar = json.loads((tmp / "poly.params.json").read_text())
         assert payload["normalization"] == sidecar
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"s1": 0}', "[1, 2]", '{"s1": NaN, "s2": 1}', '{"s1": "0", "s2": 1}', '{"s1": 0,'],
+        ids=["missing-key", "not-object", "nan", "string", "syntax"],
+    )
+    def test_bad_norm_params_is_data_error(self, poly_files, capsys, text):
+        params = poly_files / "bad.params.json"
+        params.write_text(text)
+        code, _, err = fit_poly(poly_files, capsys, "--norm-params", str(params))
+        assert_names_file_once(code, err, params)
+        assert not (poly_files / "model.json").exists()
+
     def test_strict_flags_exit_one(self, poly_files, capsys):
         tmp = poly_files
         code, _, err = fit_poly(tmp, capsys, "--d-max", "0.001", "--strict")
@@ -210,13 +235,9 @@ class TestFit:
 
 
 class TestEval:
-    def tent_payload(self):
-        model = build_model(Knots.from_points([(0, 0), (0.5, 0.5), (1, 0)]), [0.5, 0.5])
-        return model_to_payload(model)
-
     def test_grid_hits_knots(self, tmp_path, capsys):
         path = tmp_path / "tent.json"
-        write_model_file(path, self.tent_payload())
+        write_json(path, tent_payload())
         out = tmp_path / "curve.csv"
         code, _, _ = run(capsys, "eval", "--model", str(path), "--grid", "1025", "--out", str(out))
         assert code == 0
@@ -228,7 +249,7 @@ class TestEval:
 
     def test_depth_zero_is_chord(self, tmp_path, capsys):
         path = tmp_path / "tent.json"
-        write_model_file(path, self.tent_payload())
+        write_json(path, tent_payload())
         out = tmp_path / "chord.csv"
         code, _, _ = run(capsys, "eval", "--model", str(path), "--grid", "5", "--depth", "0", "--out", str(out))
         assert code == 0
@@ -262,11 +283,15 @@ class TestEval:
 
     def test_usage_errors(self, tmp_path, capsys):
         path = tmp_path / "tent.json"
-        write_model_file(path, self.tent_payload())
+        write_json(path, tent_payload())
         out = str(tmp_path / "c.csv")
         assert run(capsys, "eval", "--model", str(path), "--out", out)[0] == 2
         assert run(capsys, "eval", "--model", str(path), "--grid", "5", "--at", "x.csv", "--out", out)[0] == 2
         assert run(capsys, "eval", "--model", str(path), "--grid", "1", "--out", out)[0] == 2
+        # flag errors are found before any file is read
+        missing = str(tmp_path / "missing.json")
+        assert run(capsys, "eval", "--model", missing, "--grid", "1", "--out", out)[0] == 2
+        assert run(capsys, "eval", "--model", missing, "--out", out)[0] == 2
 
     def test_depth_on_quadratic_rejected(self, poly_files, capsys):
         tmp = poly_files
@@ -279,7 +304,7 @@ class TestEval:
         assert "fractal" in err
 
     def test_unknown_schema_rejected(self, tmp_path, capsys):
-        payload = self.tent_payload()
+        payload = tent_payload()
         payload["schema_version"] = "99"
         path = tmp_path / "future.json"
         path.write_text(json.dumps(payload))
@@ -291,7 +316,7 @@ class TestEval:
         "field", ["knots", "domain", "parameters", "parameters.d", "parameters.coefficients"]
     )
     def test_missing_model_field_is_data_error(self, tmp_path, capsys, field):
-        payload = self.tent_payload()
+        payload = tent_payload()
         if field == "parameters.d":
             del payload["parameters"]["d"]
         elif field == "parameters.coefficients":
@@ -328,10 +353,12 @@ class TestEval:
             ("parameters.chord_fallback", [True]),
             ("parameters.clamped", ["x", 7]),
             ("parameters.degenerate", [False, False, False]),
+            ("parameters.d", [0.5, 0.5, 0.5]),
+            ("parameters.coefficients", [[0.0, 1.0, 0.0]]),
         ],
     )
     def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
-        payload = self.tent_payload()
+        payload = tent_payload()
         if field in ("parameters.coefficients", "parameters.chord_fallback"):
             payload["kind"] = "quadratic"
             payload["parameters"]["coefficients"] = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0]]
@@ -347,7 +374,7 @@ class TestEval:
         assert err.count("\n") == 1
 
     def test_domain_must_be_knot_span(self, tmp_path, capsys):
-        payload = self.tent_payload()
+        payload = tent_payload()
         payload["domain"] = [0.0, 2.0]
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(payload))
@@ -364,7 +391,7 @@ class TestModelFile:
         fit_poly(tmp, capsys)
         original = (tmp / "model.json").read_bytes()
         payload = read_model_file(tmp / "model.json")
-        write_model_file(tmp / "copy.json", payload)
+        write_json(tmp / "copy.json", payload)
         assert (tmp / "copy.json").read_bytes() == original
 
     def test_payload_reconstructs_model(self, poly_files, capsys):
@@ -425,6 +452,148 @@ class TestCompare:
         assert run(
             capsys, "compare", "--all-examples", "--series", str(tmp / "poly.csv")
         )[0] == 2
+
+
+def fail_line(argv) -> tuple[int, str]:
+    """Exit code and stderr of ``main(argv)``, with stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(list(argv))
+    return code, err.getvalue()
+
+
+def assert_names_file_once(code: int, err: str, path) -> None:
+    assert code == 1, err
+    assert err.startswith(f"error: {path}: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1 and err.count(str(path)) == 1, err
+
+
+_TENT = json.dumps(tent_payload())
+
+
+def run_on_bad_file(tmp: Path, name: str, text: str, command: str) -> tuple[int, str]:
+    """Write ``text`` to ``tmp / name`` and run ``command`` with that file as
+    its one bad input; every other input is valid."""
+    bad = tmp / name
+    bad.write_text(text)
+    (tmp / "ok.csv").write_text("".join(f"{v}\n" for v in range(20)))
+    (tmp / "tent.json").write_text(_TENT)
+    out, ok = str(tmp / "out"), str(tmp / "ok.csv")
+    argv = {
+        "eval": ("eval", "--model", bad, "--grid", "5", "--out", out),
+        "at": ("eval", "--model", tmp / "tent.json", "--at", bad, "--out", out),
+        "fit": ("fit", "--series", bad, "--knots", "2", "--out-model", out, "--out-report", out),
+        "compare": ("compare", "--series", bad, "--knots", "2"),
+        "params": ("fit", "--series", ok, "--knots", "5,10", "--norm-params", bad,
+                   "--out-model", out, "--out-report", out),
+        "gen": ("gen", "--kind", "dna", "--input", bad, "--out", out + ".csv"),
+    }[command]
+    return fail_line(map(str, argv))
+
+
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("order.json", _TENT.replace("[0.5, 0.5], [1.0", "[1.5, 0.5], [1.0"), "eval"),
+        ("scale.json", _TENT.replace('"d": [0.5, 0.5]', '"d": [0.5, 1.0]'), "eval"),
+        ("syntax.json", _TENT[:-7], "eval"),
+        ("deep.json", "[" * 100_000 + "]" * 100_000, "eval"),
+        ("order.csv", "1,0\n3,1\n2,2\n", "fit"),
+        ("order.csv", "1,0\n3,1\n2,2\n", "compare"),
+        ("order.csv", "0,0\n0.5,1\n0.25,2\n", "at"),
+        ("seq.fasta", ">x\nACGTNA\n", "gen"),
+    ],
+    ids=["knot-order", "d-range", "json-syntax", "json-depth", "series-order", "compare-order",
+         "at-order", "nucleotide"],
+)
+def test_bad_input_file_is_named_once(tmp_path, name, text, command):
+    assert_names_file_once(*run_on_bad_file(tmp_path, name, text, command), tmp_path / name)
+
+
+# Malformed input files for the fuzz below: (file name, text, command).
+_NOT_A_NUMBER = ["x", "2", True, None, [], {}, [["x"]], float("nan"), float("inf"), 10**400]
+_JUNK = st.sampled_from([7, 1.5, *_NOT_A_NUMBER])
+
+
+@st.composite
+def malformed_series_csv(draw):
+    cells = [[repr(float(z)), repr(draw(st.floats(-9, 9)))] for z in range(draw(st.integers(2, 8)))]
+    fault = draw(st.sampled_from(["cell", "ragged", "order", "short"]))
+    row = draw(st.integers(1, len(cells) - 1))  # row 0 would read as a header
+    if fault == "cell":
+        cells[row][draw(st.integers(0, 1))] = draw(st.sampled_from(["x", "", "1.2.3", "--1", "1e"]))
+    elif fault == "ragged":
+        cells[row] = cells[row][:1] if draw(st.booleans()) else cells[row] + ["0.0"]
+    elif fault == "order":
+        cells[row][0] = repr(float(cells[row - 1][0]) - draw(st.sampled_from([0.0, 0.5, 3.0])))
+    else:
+        del cells[draw(st.integers(0, 1)):]
+    command = draw(st.sampled_from(["fit", "compare", "at"]))
+    return "bad.csv", "".join(",".join(line) + "\n" for line in cells), command
+
+
+@st.composite
+def malformed_model_json(draw):
+    payload = tent_payload(draw(st.sampled_from(["fractal", "quadratic"])))
+    params = payload["parameters"]
+    field = "d" if "d" in params else "coefficients"
+    flag = draw(st.sampled_from(sorted(set(params) - {field})))
+    arrays = [(payload, "knots"), (payload, "domain"), (params, field)]
+    fault = draw(st.sampled_from(["delete", "retype", "resize", "nan", "syntax"]))
+    if fault == "delete":
+        where, key = draw(st.sampled_from(
+            [(payload, "schema_version"), (payload, "kind"), (payload, "parameters"), *arrays]
+        ))
+        del where[key]
+    elif fault == "retype":
+        where, key = draw(st.sampled_from(
+            [(payload, "schema_version"), (payload, "kind"), (params, flag), *arrays]
+        ))
+        where[key] = draw(_JUNK)
+    elif fault == "resize":
+        where, key = draw(st.sampled_from([(params, flag), *arrays]))
+        where[key] = where[key][:-1] if draw(st.booleans()) else where[key] + where[key][-1:]
+    elif fault == "nan":
+        where, key = draw(st.sampled_from(arrays))
+        entries = where[key]
+        i = draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[i], list):
+            entries, i = entries[i], draw(st.integers(0, len(entries[i]) - 1))
+        entries[i] = float("nan")
+    text = json.dumps(payload)
+    if fault == "syntax":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return "bad.json", text, "eval"
+
+
+@st.composite
+def malformed_norm_params(draw):
+    payload = {"s1": 0.5, "s2": 2.0}
+    fault = draw(st.sampled_from(["shape", "missing", "value", "scale", "syntax"]))
+    if fault == "shape":
+        payload = draw(st.sampled_from([[0.5, 2.0], 1.0, "s1", None]))
+    elif fault == "missing":
+        del payload[draw(st.sampled_from(["s1", "s2"]))]
+    elif fault == "value":
+        payload[draw(st.sampled_from(["s1", "s2"]))] = draw(st.sampled_from(_NOT_A_NUMBER))
+    elif fault == "scale":
+        payload["s2"] = draw(st.sampled_from([0, -1.0, float("-inf")]))
+    text = json.dumps(payload)
+    if fault == "syntax":
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return "bad.params.json", text, "params"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(malformed_series_csv(), malformed_model_json(), malformed_norm_params()))
+def test_fuzz_malformed_input_files(case):
+    # every bad input file ends the command with one line that names it,
+    # never a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        code, err = run_on_bad_file(Path(tmp), *case)
+    assert code in (1, 2) and "Traceback" not in err, err
+    assert err.count("\n") == 1 and err.startswith(("error: ", "usage error: ")), err
+    assert_names_file_once(code, err, Path(tmp) / case[0])
 
 
 def test_version_flag(capsys):
