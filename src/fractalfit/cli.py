@@ -78,12 +78,19 @@ def write_json(path, payload) -> None:
     Path(path).write_text(_json_text(payload), encoding="utf-8")
 
 
+#: Rows formatted and written at a time, so a long curve never sits in
+#: memory as text all at once.
+_CSV_CHUNK = 1 << 16
+
+
 def write_series_csv(path, x, y, header: str = "z,w") -> None:
     """Two-column CSV: the header line, then one ``x,y`` row of repr floats
     per sample."""
-    lines = [header]
-    lines.extend(f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist()))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with Path(path).open("w", encoding="utf-8") as out:
+        out.write(header + "\n")
+        for i in range(0, len(x), _CSV_CHUNK):
+            rows = zip(x[i : i + _CSV_CHUNK].tolist(), y[i : i + _CSV_CHUNK].tolist())
+            out.write("".join(f"{a!r},{b!r}\n" for a, b in rows))
 
 
 @dataclass(frozen=True)
@@ -117,9 +124,22 @@ _KINDS = {
         QuadModel, "coefficients", (3,), "finite [k, r, l] rows", ("chord_fallback",),
         takes_depth=False,
         parameters=lambda model: model.coeffs,
-        build=lambda knots, coeffs, flags: QuadModel(knots, coeffs[:, 0], flags["chord_fallback"]),
+        build=lambda knots, coeffs, flags: _quad_model(knots, coeffs, flags["chord_fallback"]),
     ),
 }
+
+
+def _quad_model(knots: Knots, coeffs: np.ndarray, chord_fallback) -> QuadModel:
+    """The quadratic model of curvatures ``coeffs[:, 0]``, whose every
+    ``[k, r, l]`` row must match its own within a relative 1e-9: r and l
+    follow from k and the knots, so a file cannot contradict its curve."""
+    model = QuadModel(knots, coeffs[:, 0], chord_fallback)
+    if not np.allclose(coeffs, model.coeffs, rtol=1e-9, atol=0.0):
+        raise ValueError(
+            "model field 'parameters.coefficients' must be the [k, r, l] rows of "
+            "quadratics through the knots"
+        )
+    return model
 
 
 def model_to_payload(
@@ -172,8 +192,8 @@ def read_model_file(path) -> dict:
     known, every field that ``model_from_payload`` reads present, numeric and
     finite, the kind's parameter field one entry per segment, each of its
     flags that is present a list of one JSON boolean per segment, and the
-    domain the span of the knots.  The knots themselves are checked when
-    the model is built."""
+    domain the span of the knots.  The knots themselves, and the quadratic
+    coefficients against them, are checked when the model is built."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")

@@ -190,6 +190,46 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
 
+def _prominent_peaks(s: np.ndarray, prominence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences, in index order, of the maxima of ``s`` with
+    at least ``prominence``, as ``select_knots`` defines both.
+
+    A peak is a run of equal samples higher than the runs either side.  On
+    each side, every sample from the nearest strictly higher peak (or the
+    end of ``s``) to the first strictly higher sample is higher than the
+    peak, or a higher peak would lie in between.  So a base minimum is the
+    lowest of the gaps between neighbouring peaks out to that nearest higher
+    peak, and one monotone stack per side carries those gap minima along.
+    """
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], s.size) - 1
+    runs = s[starts]
+    rise = np.diff(runs) > 0
+    top = np.flatnonzero(rise[:-1] & ~rise[1:]) + 1
+    heights = runs[top]
+    # gaps[k] is the lowest run before peak k (back to peak k - 1); gaps[-1] follows the last
+    gaps = np.minimum.reduceat(runs, np.append(0, top))
+    left = _base_minima(heights, gaps[:-1])
+    right = _base_minima(heights[::-1], gaps[:0:-1])[::-1]
+    prominences = heights - np.maximum(left, right)
+    keep = prominences >= prominence
+    return ((starts[top] + ends[top]) // 2)[keep], prominences[keep]
+
+
+def _base_minima(heights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """For each peak k, the lowest of ``gaps[j + 1 .. k]``, where j is the
+    nearest earlier peak strictly higher than peak k (all of ``gaps[:k + 1]``
+    if there is none)."""
+    base = np.empty(heights.size)
+    stack: list[tuple[float, float]] = []  # (height, base) of the peaks not yet topped
+    for k, (height, low) in enumerate(zip(heights.tolist(), gaps.tolist())):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        base[k] = low
+        stack.append((height, low))
+    return base
+
+
 def select_knots(
     series: Series,
     mode: str = "manual",
@@ -209,6 +249,15 @@ def select_knots(
     prominent ones (ties broken toward smaller index).  If fewer candidates
     than requested are found, the fit proceeds with what exists, except that
     fewer than 2 candidates against a request of >= 2 is an error.
+
+    A maximum's prominence is its height minus the higher of its two base
+    minima; each base minimum is the lowest sample between the maximum and
+    the first strictly higher sample on that side, or the end of the series
+    if there is none.  A flat top counts once, at its middle sample rounded
+    down, and never at either end.  Minima are the maxima of the negated
+    series.  These are the definitions of ``signal.find_peaks``, which
+    ``tests/test_datasets.py`` checks against; see the docstring of
+    ``signal.peak_prominences``.
     """
     m_count = series.m_count
     if mode == "manual":
@@ -229,20 +278,15 @@ def select_knots(
             raise ValueError("extrema mode requires n_interior >= 1")
         if window < 1 or window % 2 == 0:
             raise ValueError("smoothing window must be a positive odd integer")
-        from scipy.signal import find_peaks  # scipy is needed only for this mode
-
         smoothed = _moving_average(series.w, window)
-        cands: list[tuple[float, int]] = []
-        for sign in (1.0, -1.0):
-            peaks, props = find_peaks(sign * smoothed, prominence=prominence)
-            cands.extend(zip(props["prominences"], peaks))
-        if len(cands) == 0 or (n_interior >= 2 and len(cands) < 2):
+        found = [_prominent_peaks(sign * smoothed, prominence) for sign in (1.0, -1.0)]
+        peaks, proms = map(np.concatenate, zip(*found))
+        if peaks.size == 0 or (n_interior >= 2 and peaks.size < 2):
             raise ValueError(
-                f"found only {len(cands)} interior extrema with prominence >= "
+                f"found only {peaks.size} interior extrema with prominence >= "
                 f"{prominence} (window {window}); need at least {min(n_interior, 2)}"
             )
-        cands.sort(key=lambda c: (-c[0], c[1]))
-        interior = np.sort([idx for _, idx in cands[:n_interior]])
+        interior = np.sort(peaks[np.lexsort((peaks, -proms))[:n_interior]])
     else:
         raise ValueError(f"unknown knot selection mode {mode!r}")
 

@@ -33,6 +33,7 @@ from fractalfit.cli import (
     model_to_payload,
     read_model_file,
     write_json,
+    write_series_csv,
 )
 
 
@@ -166,6 +167,9 @@ class TestFit:
         expected = fit_quadratic(series, knots)
         got = [triple[0] for triple in payload["parameters"]["coefficients"]]
         np.testing.assert_allclose(got, expected.curvature, rtol=0, atol=0)
+        # the written [k, r, l] rows pass the coefficient check on loading
+        model = model_from_payload(payload)
+        np.testing.assert_array_equal(model.coeffs, expected.coeffs)
 
     def test_norm_params_embedded(self, poly_files, capsys):
         tmp = poly_files
@@ -355,6 +359,7 @@ class TestEval:
             ("parameters.degenerate", [False, False, False]),
             ("parameters.d", [0.5, 0.5, 0.5]),
             ("parameters.coefficients", [[0.0, 1.0, 0.0]]),
+            ("parameters.coefficients", [[0.0, 999.0, 0.0], [0.0, -1.0, 1.0]]),
         ],
     )
     def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
@@ -383,6 +388,19 @@ class TestEval:
         assert err == (
             f"error: {path}: model field 'domain' [0.0, 2.0] differs from the knot span [0.0, 1.0]\n"
         )
+
+
+def test_series_csv_is_the_joined_rows(tmp_path):
+    # the curve is written in chunks; the bytes are those of one join of
+    # every row, on a length that is no multiple of the chunk size
+    x = np.linspace(-1.0, 3.0, (1 << 16) + 3)
+    y = np.sin(x) * 1e-7
+    write_series_csv(tmp_path / "c.csv", x, y, header="x,value")
+    rows = [f"{a!r},{b!r}" for a, b in zip(x.tolist(), y.tolist())]
+    expected = "\n".join(["x,value", *rows]) + "\n"
+    assert (tmp_path / "c.csv").read_bytes() == expected.encode("utf-8")
+    write_series_csv(tmp_path / "empty.csv", x[:0], y[:0])
+    assert (tmp_path / "empty.csv").read_bytes() == b"z,w\n"
 
 
 class TestModelFile:
@@ -628,9 +646,9 @@ def test_module_entry_point_smoke(tmp_path):
     assert 0 < row["quadratic_rms"] < row["fractal_rms"] <= row["collage_bound"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy serves only extrema knot selection; every other command starts
-    # without paying for its import
+def test_scipy_never_loaded():
+    # numpy is the one dependency: neither the CLI import nor extrema knot
+    # selection loads scipy
     probe = (
         "import sys, fractalfit.cli\n"
         "print('scipy' in sys.modules)\n"
@@ -642,4 +660,4 @@ def test_cli_import_leaves_scipy_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=child_env()
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "True"]
+    assert result.stdout.split() == ["False", "False"]

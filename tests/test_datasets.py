@@ -16,6 +16,7 @@ from fractalfit import (
     normalize,
     select_knots,
 )
+from fractalfit.datasets import _moving_average, _prominent_peaks
 
 
 def quintic(x):
@@ -403,3 +404,73 @@ class TestSelectKnotsExtrema:
         knots = select_knots(series, "extrema", n_interior=5, window=5)
         pos = np.searchsorted(series.z, knots.x)
         assert np.array_equal(knots.y, series.w[pos])
+
+    def test_equal_prominences_prefer_smaller_index(self):
+        # maxima at 1, 3, 5 and minima at 2, 4 all have prominence 1
+        series = Series(np.arange(1.0, 8.0), np.array([0.0, 1, 0, 1, 0, 1, 0]))
+        knots = select_knots(series, "extrema", n_interior=2, window=1, prominence=0)
+        assert knots.x.tolist() == [1.0, 2.0, 3.0, 7.0]
+
+    def test_too_few_candidates_errors(self):
+        m = np.arange(1.0, 102.0)
+        ramp = Series(m, m)
+        with pytest.raises(ValueError, match=r"^found only 0 interior extrema with prominence "
+                           r">= 0.05 \(window 1\); need at least 1$"):
+            select_knots(ramp, "extrema", n_interior=1, window=1)
+        bump = Series(m, np.exp(-((m - 40.0) ** 2) / 50.0))
+        assert select_knots(bump, "extrema", n_interior=1, window=1).x.tolist() == [1.0, 40.0, 101.0]
+        with pytest.raises(ValueError, match=r"^found only 1 interior extrema with prominence "
+                           r">= 0.05 \(window 1\); need at least 2$"):
+            select_knots(bump, "extrema", n_interior=2, window=1)
+
+
+class TestProminentPeaks:
+    @pytest.fixture(scope="class")
+    def find_peaks(self):
+        return pytest.importorskip("scipy.signal").find_peaks
+
+    @staticmethod
+    def assert_matches(find_peaks, s, prominence):
+        expected, props = find_peaks(s, prominence=prominence)
+        peaks, prominences = _prominent_peaks(s, prominence)
+        assert np.array_equal(peaks, expected)
+        assert np.array_equal(prominences, props["prominences"])
+
+    @pytest.mark.parametrize(
+        "values, prominence, peaks, prominences",
+        [
+            ([0, 2, 2, 2, 2, 0], 0, [2], [2]),  # even plateau: middle rounded down
+            ([1, 3, 3, 3, 0], 0, [2], [2]),  # odd plateau: its middle
+            ([0, 1, 3, 3], 0, [], []),  # a plateau that touches an end is no peak
+            ([3, 3, 1, 2, 0], 0, [3], [1]),
+            ([0, 2, 1, 3, 1, 2, 0], 1, [1, 3, 5], [1, 3, 1]),  # bases run to the ends
+            ([0, 2, 1, 3, 1, 2, 0], 1.5, [3], [3]),  # the threshold is inclusive
+            ([1, 4, 0, 4, 1], 0, [1, 3], [3, 3]),  # an equal peak does not stop a base
+            ([5, 5, 5], 0, [], []),
+            ([0, 1], 0, [], []),
+        ],
+    )
+    def test_plateaus_and_bases(self, values, prominence, peaks, prominences):
+        got_peaks, got_proms = _prominent_peaks(np.asarray(values, dtype=float), prominence)
+        assert got_peaks.tolist() == peaks
+        assert got_proms.tolist() == prominences
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.integers(-2, 2), min_size=1, max_size=40),
+        walk=st.booleans(),
+        prominence=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]),
+    )
+    def test_matches_find_peaks(self, find_peaks, steps, walk, prominence):
+        # small integers make plateaus, equal prominences and peaks next to
+        # either end common; the walk gives long rises and falls
+        values = (np.cumsum(steps) if walk else np.asarray(steps)).astype(float)
+        for sign in (1.0, -1.0):
+            self.assert_matches(find_peaks, sign * values, prominence)
+
+    def test_matches_find_peaks_on_a_smoothed_walk(self, find_peaks):
+        series, _ = normalize(gen_random_walk(20_000, 4))
+        for window in (1, 21):
+            smoothed = _moving_average(series.w, window)
+            for sign in (1.0, -1.0):
+                self.assert_matches(find_peaks, sign * smoothed, 0.01)
