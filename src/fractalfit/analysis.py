@@ -18,7 +18,7 @@ class ComparisonRow:
     """One dataset's error summary.
 
     By the collage theorem, fractal_rms <= collage_bound whenever no scaling
-    factor was clamped; eval_depth is the pre-fractal depth actually used.
+    factor was clamped; eval_depth is the explicit depth, else default_depth.
     """
 
     name: str
@@ -50,12 +50,11 @@ def compare(
     """
     report = fit_d_discrete(series, knots, d_max)
     model = build_model(knots, report.d)
-    resolved_depth = default_depth(model) if depth is None else depth
     return ComparisonRow(
         name=name,
-        fractal_rms=rms_error(lambda z: model(z, resolved_depth), series),
+        fractal_rms=rms_error(lambda z: model(z, depth), series),
         quadratic_rms=rms_error(fit_quadratic(series, knots), series),
         collage_bound=report.collage_bound,
         contraction_factor=report.contraction_factor,
-        eval_depth=resolved_depth,
+        eval_depth=default_depth(model) if depth is None else depth,
     )

@@ -297,10 +297,13 @@ def _cmd_gen(args) -> int:
     if args.kind == "dna":
         if args.input is None:
             raise UsageError("--kind dna requires --input (plain text or FASTA)")
-        if args.m is not None:
-            raise UsageError("--m is not meaningful with --kind dna")
+        for flag, value in (("--m", args.m), ("--seed", args.seed)):
+            if value is not None:
+                raise UsageError(f"{flag} is not meaningful with --kind dna")
         raw = _read(args.input, lambda path: gen_dna_walk(Path(path).read_text(encoding="utf-8")))
     else:
+        if args.input is not None:
+            raise UsageError(f"--input is not meaningful with --kind {args.kind}")
         if args.m is None:
             raise UsageError(f"--kind {args.kind} requires --m")
         if args.kind == "polynomial":
@@ -392,8 +395,10 @@ def _render_text(rows: list[ComparisonRow]) -> str:
 
 def _cmd_compare(args) -> int:
     if args.all_examples:
-        if args.series:
-            raise UsageError("--all-examples conflicts with --series")
+        for flag, given in [("--series", args.series), ("--knots", args.knots), ("--n", args.n is not None),
+                            ("--knots-mode extrema", args.knots_mode == "extrema")]:
+            if given:
+                raise UsageError(f"--all-examples conflicts with {flag}")
         series, _ = normalize(gen_polynomial(10_000))
         knots = select_knots(series, "manual", indices=[500, 4000, 7500])
         name = "polynomial"
@@ -423,6 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Fractal interpolation of 1-D series, with a quadratic baseline.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    depth_help = "fixed pre-fractal depth (default: each point within 1e-9 of the attractor)"
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", help="generate a series (normalized + raw + params)")
@@ -448,7 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", required=True, help="model JSON from fit")
     evaluate.add_argument("--grid", type=int, help="uniform grid resolution over the domain")
     evaluate.add_argument("--at", help="series CSV providing the abscissae")
-    evaluate.add_argument("--depth", type=int, help="pre-fractal depth (default: auto)")
+    evaluate.add_argument("--depth", type=int, help=depth_help)
     evaluate.add_argument("--out", required=True, help="output curve CSV")
     evaluate.set_defaults(handler=_cmd_eval)
 
@@ -456,7 +462,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--series", help="input series CSV")
     cmp_parser.add_argument("--all-examples", action="store_true", help="run the built-in polynomial pipeline")
     _add_knot_args(cmp_parser)
-    cmp_parser.add_argument("--depth", type=int, help="pre-fractal depth (default: auto)")
+    cmp_parser.add_argument("--depth", type=int, help=depth_help)
     cmp_parser.add_argument("--d-max", type=float, default=D_MAX_DEFAULT)
     cmp_parser.add_argument("--format", choices=["text", "json"], default="text")
     cmp_parser.add_argument("--out", help="also write the comparison JSON here")

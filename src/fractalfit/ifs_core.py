@@ -42,6 +42,10 @@ __all__ = [
     "fixed_point_residual",
 ]
 
+TOL = 1e-9  # distance to the attractor at which default evaluation stops a point
+MAX_LEVELS = 10_000  # most levels default_depth allows before refusing a model
+_CHUNK = 1 << 16
+
 
 def _frozen_array(values, name: str) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -256,59 +260,75 @@ def hutchinson_apply(model: FifModel, g: Series) -> Series:
 
 
 def evaluate_fif(model: FifModel, x, depth: int | None = None):
-    """Evaluate the depth-th pre-fractal of the model at ``x``.
-
-    Computes (Phi^depth b0)(x) where b0 is the chord through the endpoint
-    knots, by unrolling the recursion
+    """Evaluate the attractor of the model at ``x`` to within ``TOL``, or with
+    an explicit ``depth`` its pre-fractal (Phi^depth b0)(x), b0 the chord
+    through the endpoint knots, by unrolling the recursion
 
         g(x) = alpha_i(x) - d_i * (beta_i(x) - g(gamma_i(x)))
 
-    into an accumulated affine transform of the base value.  The distance to
-    the true attractor is at most (max|d_i|)^depth * ||b0 - g*||_inf, so the
-    default depth (see :func:`default_depth`) gives the attractor to near
-    machine precision.  Since b0 already satisfies the endpoint conditions,
-    every pre-fractal passes through all knots exactly.
+    into an accumulated affine transform s * b0 + offset.  A point is then
+    within |s| * B of the attractor (B as in :func:`default_depth`) and stops
+    once that is <= ``TOL``; at a given depth it stops early only at s == 0.
+    Since b0 already satisfies the endpoint conditions, every pre-fractal
+    passes through all knots exactly.
 
     Accepts a scalar or an array; raises ValueError outside [a, b].
     """
+    floor = 0.0
     if depth is None:
         depth = default_depth(model)
+        floor = TOL / _tail_bound(model) if depth else 0.0  # depth 0: B <= TOL
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    knots, d = model.knots, model.d
+    xs = _domain_points(knots, x)
+    flat, out = xs.ravel(), np.empty(xs.size)
+    for start in range(0, xs.size, _CHUNK):  # chunks keep the working arrays small
+        live = np.arange(start, min(start + _CHUNK, xs.size))
+        cur, offset, scale = flat[live], np.zeros(live.size), np.ones(live.size)
+        for _ in range(depth):
+            seg = segment_indices(knots, cur)
+            alpha, beta, gamma = _abg_values(knots, seg, cur)
+            di = d[seg]
+            offset += scale * (alpha - di * beta)
+            scale *= di
+            # gamma is exact at segment endpoints but may drift out by one ulp
+            # strictly inside; clamp so the next level's lookup stays in domain.
+            cur = np.clip(gamma, knots.x[0], knots.x[-1])
+            done = np.abs(scale) <= floor
+            if done.any():
+                out[live[done]] = offset[done] + scale[done] * _chord_b0(knots, cur[done])
+                live, cur, offset, scale = (v[~done] for v in (live, cur, offset, scale))
+        out[live] = offset + scale * _chord_b0(knots, cur)
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(xs.shape)
+
+
+def _chord_b0(knots: Knots, x):
+    """b0(x), the chord through the endpoint knots."""
+    kx, ky = knots.x, knots.y
+    return ky[0] + (ky[-1] - ky[0]) * (x - kx[0]) / (kx[-1] - kx[0])
+
+
+def _tail_bound(model: FifModel) -> float:
+    """B = ||Phi b0 - b0||_inf / (1 - c) >= ||b0 - g*||_inf: beta_i is
+    b0 o gamma_i, so Phi b0 is the polyline through the knots."""
     knots = model.knots
-    cur = _domain_points(knots, x)
-
-    a, b = knots.x[0], knots.x[-1]
-    y0, yn = knots.y[0], knots.y[-1]
-    d = model.d
-    acc_scale = np.ones_like(cur)
-    acc_offset = np.zeros_like(cur)
-    for _ in range(depth):
-        if not np.any(acc_scale):
-            break  # d == 0 everywhere reached: deeper levels contribute nothing
-        seg = segment_indices(knots, cur)
-        alpha, beta, gamma = _abg_values(knots, seg, cur)
-        di = d[seg]
-        acc_offset += acc_scale * (alpha - di * beta)
-        acc_scale *= di
-        # gamma is exact at segment endpoints but may drift out by one ulp
-        # strictly inside; clamp so the next level's lookup stays in domain.
-        cur = np.clip(gamma, a, b)
-    base = y0 + (yn - y0) * (cur - a) / (b - a)
-    out = acc_offset + acc_scale * base
-    return float(out[0]) if np.ndim(x) == 0 else out
+    gap = np.max(np.abs(knots.y - _chord_b0(knots, knots.x)))
+    return float(gap) / (1.0 - model.contraction_factor)
 
 
-def default_depth(model: FifModel, *, tol: float = 1e-9, cap: int = 48) -> int:
-    """Smallest depth D with (max|d_i|)^D < tol, capped (cap matters as
-    max|d_i| approaches 1, where the required depth diverges)."""
-    c = model.contraction_factor
-    if c == 0.0:
-        return 1
-    for depth in range(1, cap):
-        if c**depth < tol:
-            return depth
-    return cap
+def default_depth(model: FifModel) -> int:
+    """Levels that bring every point within ``TOL`` of the attractor g*: the
+    smallest D with c^D * B <= TOL, for c = max|d_i| and B the bound on
+    ||b0 - g*||_inf (Barnsley, Constr. Approx. 1986).  Raises ValueError
+    when D exceeds ``MAX_LEVELS``; only an explicit depth evaluates then."""
+    c, bound = model.contraction_factor, _tail_bound(model)
+    with np.errstate(divide="ignore"):  # log(0) = -inf: c == 0 takes max(1, 0) = 1 level
+        depth = 0 if bound <= TOL else max(1, int(np.ceil(np.log(TOL / bound) / np.log(c))))
+    if depth > MAX_LEVELS:
+        raise ValueError(f"max|d_i| = {c:.10g} needs {depth} evaluation levels, "
+                         f"more than {MAX_LEVELS}; pass an explicit --depth")
+    return depth
 
 
 def fixed_point_residual(

@@ -1,10 +1,12 @@
 import numpy as np
 
 from fractalfit import (
+    Knots,
     Series,
     build_model,
     compare,
     default_depth,
+    evaluate_fif,
     fit_d_discrete,
     fit_quadratic,
     gen_random_walk,
@@ -12,6 +14,7 @@ from fractalfit import (
     rms_error,
     select_knots,
 )
+from fractalfit.ifs_core import TOL
 
 
 def walk_case(seed, m_count=400, interior=(100, 200, 300)):
@@ -35,11 +38,10 @@ def test_rms_dispatches_on_model_type():
     model = build_model(knots, report.d)
     quad = fit_quadratic(series, knots)
 
-    from fractalfit import evaluate_fif, evaluate_quad
+    from fractalfit import evaluate_quad
 
-    depth = default_depth(model)
     assert rms_error(model, series) == rms_error(
-        lambda z: evaluate_fif(model, z, depth), series
+        lambda z: evaluate_fif(model, z), series
     )
     assert rms_error(quad, series) == rms_error(
         lambda z: evaluate_quad(quad, z), series
@@ -72,6 +74,21 @@ def test_compare_depth_override():
     series, knots = walk_case(2)
     row = compare(series, knots, depth=3)
     assert row.eval_depth == 3
+
+
+def test_compare_rms_is_of_the_attractor_at_large_contraction():
+    # a series sampled from an attractor with max|d_i| = 0.97: the fitted
+    # model needs hundreds of levels, and the row's RMS is the attractor's
+    z = np.arange(1.0, 1202.0)
+    source = Knots(np.array([1.0, 301, 601, 901, 1201]), np.array([0.0, 1.0, -0.5, 0.8, 0.2]))
+    series = Series(z, build_model(source, [0.95, -0.9, 0.97, 0.6])(z))
+    knots = select_knots(series, "manual", indices=[301, 601, 901])
+    row = compare(series, knots)
+    model = build_model(knots, fit_d_discrete(series, knots).d)
+    assert row.contraction_factor > 0.95
+    assert row.eval_depth == default_depth(model) > 48
+    deep = rms_error(lambda x: evaluate_fif(model, x, 1500), series)
+    assert abs(row.fractal_rms - deep) <= TOL
 
 
 def test_collage_bound_holds_on_unclamped_fits():

@@ -119,6 +119,9 @@ class TestGen:
             ("gen", "--kind", "dna", "--input", "f.txt", "--m", "5", "--out", out),
             ("gen", "--kind", "polynomial", "--out", out),
             ("gen", "--kind", "polynomial", "--m", "10", "--seed", "3", "--out", out),
+            ("gen", "--kind", "dna", "--input", "f.txt", "--seed", "3", "--out", out),
+            ("gen", "--kind", "random-walk", "--m", "10", "--input", "f.txt", "--out", out),
+            ("gen", "--kind", "polynomial", "--m", "10", "--input", "f.txt", "--out", out),
         ]
         for argv in cases:
             code, _, err = run(capsys, *argv)
@@ -297,6 +300,16 @@ class TestEval:
         assert run(capsys, "eval", "--model", missing, "--grid", "1", "--out", out)[0] == 2
         assert run(capsys, "eval", "--model", missing, "--out", out)[0] == 2
 
+    def test_level_ceiling_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "steep.json"
+        knots = Knots.from_points([(0, 0), (0.5, 0.5), (1, 0)])
+        write_json(path, model_to_payload(build_model(knots, [0.9999999, 0.5])))
+        out = str(tmp_path / "c.csv")
+        code, err = fail_line(["eval", "--model", str(path), "--grid", "5", "--out", out])
+        assert code == 1 and "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "--depth" in err, err
+        assert run(capsys, "eval", "--model", str(path), "--grid", "5", "--depth", "5", "--out", out)[0] == 0
+
     def test_depth_on_quadratic_rejected(self, poly_files, capsys):
         tmp = poly_files
         fit_poly(tmp, capsys, "--method", "quadratic")
@@ -470,6 +483,9 @@ class TestCompare:
         assert run(
             capsys, "compare", "--all-examples", "--series", str(tmp / "poly.csv")
         )[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--knots", "100,200")[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--knots-mode", "extrema")[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--n", "3")[0] == 2
 
 
 def fail_line(argv) -> tuple[int, str]:

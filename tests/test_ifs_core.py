@@ -14,11 +14,31 @@ from fractalfit import (
     hutchinson_apply,
     segment_indices,
 )
-from fractalfit.ifs_core import _abg_values
+from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values
 
 
 def tent_model(d=(0.5, 0.5)):
     return build_model(Knots.from_points([(0, 0), (0.5, 0.5), (1, 0)]), d)
+
+
+def fixed_depth_reference(model, x, depth):
+    """The depth-th pre-fractal by the plain fixed-depth loop over all
+    points at once, without chunks or compaction."""
+    knots = model.knots
+    cur = np.asarray(x, dtype=float)
+    a, b = knots.x[0], knots.x[-1]
+    y0, yn = knots.y[0], knots.y[-1]
+    acc_scale = np.ones_like(cur)
+    acc_offset = np.zeros_like(cur)
+    for _ in range(depth):
+        seg = segment_indices(knots, cur)
+        alpha, beta, gamma = _abg_values(knots, seg, cur)
+        di = model.d[seg]
+        acc_offset += acc_scale * (alpha - di * beta)
+        acc_scale *= di
+        cur = np.clip(gamma, a, b)
+    base = y0 + (yn - y0) * (cur - a) / (b - a)
+    return acc_offset + acc_scale * base
 
 
 def apply_maps(model, x, y):
@@ -330,13 +350,72 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="depth"):
             evaluate_fif(tent_model(), 0.5, -1)
 
+    def test_explicit_depth_matches_fixed_depth_loop(self):
+        # stopping a point once its scale is exactly 0, and working in
+        # chunks, leave every explicit-depth value bit for bit unchanged
+        rng = np.random.default_rng(8)
+        for case in range(24):
+            n = int(rng.integers(2, 12))
+            model = build_model(random_knots(rng, n, x_span=(-3.0, 50.0)), rng.uniform(-0.99, 0.99, n))
+            if case % 3:
+                model = build_model(model.knots, np.where(rng.random(n) < 0.5, 0.0, model.d))
+            if case % 8 == 0:
+                model = build_model(model.knots, np.zeros(n))
+            size = 70_001 if case % 6 == 0 else 2_001  # more than one chunk
+            xs = np.concatenate([model.knots.x, np.linspace(model.knots.a, model.knots.b, size)])
+            for depth in (0, 1, 3, 17, 48):
+                got = evaluate_fif(model, xs, depth)
+                want = fixed_depth_reference(model, xs, depth)
+                assert np.array_equal(got, want), (case, depth)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (case, depth)
+
+    @pytest.mark.parametrize("c", [0.7, 0.8, 0.9, 0.95, 0.99])
+    def test_default_converges_for_large_contraction(self, c):
+        # the attractor to TOL, past the 0.65 where a depth of 48 falls short
+        rng = np.random.default_rng(int(c * 100))
+        knots = random_knots(rng, 5)
+        model = build_model(knots, c * rng.choice([-1.0, 1.0], 5))
+        xs = np.linspace(knots.a, knots.b, 1001)
+        deep = fixed_depth_reference(model, xs, int(np.log(1e-14) / np.log(c)) + 600)
+        assert np.max(np.abs(evaluate_fif(model, xs) - deep)) <= TOL + 1e-11
+        np.testing.assert_allclose(evaluate_fif(model, knots.x), knots.y, rtol=0, atol=1e-12)
+
 
 class TestDepthAndResidual:
     def test_default_depth_values(self):
-        assert default_depth(tent_model(d=(0.5, 0.5))) == 30  # 0.5^30 < 1e-9
+        # the tent's knots lie 0.5 off its chord, so B = 0.5 / (1 - c)
+        assert default_depth(tent_model(d=(0.5, 0.5))) == 30  # 0.5^30 * 1 <= 1e-9
         assert default_depth(tent_model(d=(0.0, 0.0))) == 1
-        assert default_depth(tent_model(d=(0.99, 0.99))) == 48  # hits the cap
-        assert default_depth(tent_model(d=(0.5, 0.5)), tol=1e-3) == 10
+        assert default_depth(tent_model(d=(0.99, 0.99))) == 2452  # 0.99^2452 * 50 <= 1e-9
+
+    def test_default_depth_is_smallest_certified(self):
+        rng = np.random.default_rng(9)
+        for _ in range(200):
+            knots = random_knots(rng, 4)
+            model = build_model(knots, rng.uniform(-0.99, 0.99, 4))
+            c = model.contraction_factor
+            chord = knots.y[0] + (knots.y[-1] - knots.y[0]) * (knots.x - knots.a) / (knots.b - knots.a)
+            bound = np.max(np.abs(knots.y - chord)) / (1 - c)
+            depth = default_depth(model)
+            assert c**depth * bound <= TOL * (1 + 1e-12) < c ** (depth - 1) * bound * (1 + 1e-12)
+
+    def test_collinear_knots_need_no_levels(self):
+        model = build_model(Knots.from_points([(0, 1), (1, 2), (3, 4)]), [0.9, -0.9])
+        assert default_depth(model) == 0
+        xs = np.linspace(0, 3, 7)
+        np.testing.assert_allclose(evaluate_fif(model, xs), xs + 1, rtol=0, atol=1e-15)
+
+    def test_level_ceiling(self):
+        # a contraction near 1 would need tens of thousands of levels or
+        # more: refused at once, while an explicit depth still evaluates
+        assert default_depth(tent_model(d=(0.997, 0.997))) <= MAX_LEVELS
+        for c in (0.999, 0.9999999):
+            model = tent_model(d=(c, 0.5))
+            for call in (lambda: default_depth(model), lambda: evaluate_fif(model, 0.3)):
+                with pytest.raises(ValueError, match=rf"needs \d+ evaluation levels, more than {MAX_LEVELS}") as info:
+                    call()
+                assert f"max|d_i| = {c} " in str(info.value) and "--depth" in str(info.value)
+            assert evaluate_fif(model, 0.5, 5) == 0.5
 
     def test_residual_dyadic_tent(self):
         assert fixed_point_residual(tent_model(), 4097, 40) < 1e-6
