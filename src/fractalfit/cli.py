@@ -263,14 +263,21 @@ def _add_knot_args(sub: argparse.ArgumentParser) -> None:
         help="manual (default) uses --knots; extrema picks prominent extrema",
     )
     sub.add_argument("--n", type=int, help="number of interior extrema knots")
-    sub.add_argument("--window", type=int, default=101, help="extrema smoothing window (odd)")
-    sub.add_argument("--prominence", type=float, default=0.05, help="extrema prominence threshold")
+    sub.add_argument("--window", type=int, help="extrema smoothing window (odd; default 101)")
+    sub.add_argument("--prominence", type=float, help="extrema prominence threshold (default 0.05)")
+
+
+def _extrema_options(args) -> dict:
+    """The extrema-only flags given, by name; unset ones keep select_knots' defaults."""
+    return {name: value for name in ("n", "window", "prominence") if (value := getattr(args, name)) is not None}
 
 
 def _resolve_knots(args, series: Series) -> Knots:
     if args.knots_mode == "manual":
         if not args.knots:
             raise UsageError("manual knot mode requires --knots with interior indices")
+        if given := list(_extrema_options(args)):
+            raise UsageError(f"--{given[0]} applies only to --knots-mode extrema")
         try:
             indices = [int(tok) for tok in args.knots.split(",") if tok.strip()]
         except ValueError:
@@ -278,15 +285,10 @@ def _resolve_knots(args, series: Series) -> Knots:
         return select_knots(series, "manual", indices=indices)
     if args.knots:
         raise UsageError("--knots conflicts with --knots-mode extrema")
-    if args.n is None:
+    options = _extrema_options(args)
+    if "n" not in options:
         raise UsageError("extrema knot mode requires --n")
-    return select_knots(
-        series,
-        "extrema",
-        n_interior=args.n,
-        window=args.window,
-        prominence=args.prominence,
-    )
+    return select_knots(series, "extrema", n_interior=options.pop("n"), **options)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +397,9 @@ def _render_text(rows: list[ComparisonRow]) -> str:
 
 def _cmd_compare(args) -> int:
     if args.all_examples:
-        for flag, given in [("--series", args.series), ("--knots", args.knots), ("--n", args.n is not None),
-                            ("--knots-mode extrema", args.knots_mode == "extrema")]:
+        for flag, given in [("--series", args.series), ("--knots", args.knots),
+                            ("--knots-mode extrema", args.knots_mode == "extrema"),
+                            *((f"--{name}", True) for name in _extrema_options(args))]:
             if given:
                 raise UsageError(f"--all-examples conflicts with {flag}")
         series, _ = normalize(gen_polynomial(10_000))

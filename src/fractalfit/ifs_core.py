@@ -26,6 +26,7 @@ last segment additionally includes b.  Segments are indexed 0..N-1 in code.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ __all__ = [
 
 TOL = 1e-9  # distance to the attractor at which default evaluation stops a point
 MAX_LEVELS = 10_000  # most levels default_depth allows before refusing a model
-_CHUNK = 1 << 16
+_CHUNK = 1 << 14  # points per chunk: its working arrays (128 KiB each) stay in cache
 
 
 def _frozen_array(values, name: str) -> np.ndarray:
@@ -113,6 +114,23 @@ class Knots(_SortedPairs):
     @property
     def b(self) -> float:
         return float(self.x[-1])
+
+    @cached_property
+    def _buckets(self):
+        """Tables of :func:`segment_indices`: origin, scale, ``first[j]`` = (knots
+        x_0..x_{N-1} in buckets below j) - 1, those knots padded with +inf, steps."""
+        x = self.x
+        scale = min(8 * x.size / float(x[-1] - x[0]), np.finfo(float).max)  # subnormal spans too
+        keys = ((x - x[0]) * scale).astype(np.intp)  # bit for bit as in segment_indices
+        first = np.searchsorted(keys[:-1], np.arange(keys[-1] + 1)) - 1
+        occupancy = int(np.bincount(keys[:-1]).max())
+        steps = [1 << k for k in reversed(range(occupancy.bit_length()))]
+        pad = np.concatenate([x[:-1], np.full(2 * steps[0] - 1, np.inf)])
+        return x[0], scale, first, pad, steps
+
+    @cached_property
+    def _gaps(self):  # per-segment width and rise, for _chord
+        return np.diff(self.x), np.diff(self.y)
 
 
 @dataclass(frozen=True)
@@ -200,10 +218,20 @@ def build_model(knots: Knots, d: Sequence[float]) -> FifModel:
 
 
 def segment_indices(knots: Knots, x) -> np.ndarray:
-    """Indices of the segments containing ``x`` (half-open, last closed)."""
-    x = np.asarray(x, dtype=float)
-    idx = np.searchsorted(knots.x, x, side="right") - 1
-    return np.clip(idx, 0, knots.n_segments - 1)
+    """Indices of the segments containing ``x`` (half-open, last closed);
+    points below a label 0, points above b (and NaN) label N - 1.
+
+    Exact, via 8(N + 1) equal buckets over [a, b] built once per knot set:
+    bucket trunc((q - a) * scale) is monotone in q, so only the knots sharing
+    q's bucket need a (branch-free) bisection.  O(1) per query (one step) for
+    spread-out knots, at most floor(log2 N) + 1 steps for clustered ones.
+    """
+    lo, scale, first, pad, steps = knots._buckets
+    q = np.fmax(np.fmin(np.asarray(x, dtype=float), knots.x[-1]), lo)
+    label = first[((q - lo) * scale).astype(np.intp)]
+    for step in steps:
+        label += step * (q >= pad[label + step])
+    return label
 
 
 def _chord(knots: Knots, seg: np.ndarray, x: np.ndarray):
@@ -214,10 +242,9 @@ def _chord(knots: Knots, seg: np.ndarray, x: np.ndarray):
     returns segment endpoint values exactly (no slope/intercept cancellation
     even for abscissae ~1e4).
     """
-    kx, ky = knots.x, knots.y
-    xl = kx[seg]
-    t = (x - xl) / (kx[seg + 1] - xl)
-    return t, ky[seg] + (ky[seg + 1] - ky[seg]) * t
+    width, rise = knots._gaps
+    t = (x - knots.x[seg]) / width[seg]
+    return t, knots.y[seg] + rise[seg] * t
 
 
 def _abg_values(knots: Knots, seg: np.ndarray, x: np.ndarray):
@@ -232,12 +259,10 @@ def _abg_values(knots: Knots, seg: np.ndarray, x: np.ndarray):
 
 def _domain_points(knots: Knots, x) -> np.ndarray:
     """``x``, a scalar or an array, as a 1-D float array; raises ValueError
-    if any point lies outside [a, b]."""
+    if any point is NaN or lies outside [a, b]."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(xs < knots.x[0]) or np.any(xs > knots.x[-1]):
-        raise ValueError(
-            f"abscissae outside model domain [{knots.a}, {knots.b}]"
-        )
+    if not np.all((xs >= knots.x[0]) & (xs <= knots.x[-1])):  # False for NaN
+        raise ValueError(f"abscissae outside model domain [{knots.a}, {knots.b}] or NaN")
     return xs
 
 
@@ -272,7 +297,7 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
     Since b0 already satisfies the endpoint conditions, every pre-fractal
     passes through all knots exactly.
 
-    Accepts a scalar or an array; raises ValueError outside [a, b].
+    Accepts a scalar or an array; raises ValueError at NaN or outside [a, b].
     """
     floor = 0.0
     if depth is None:
@@ -287,6 +312,8 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
         live = np.arange(start, min(start + _CHUNK, xs.size))
         cur, offset, scale = flat[live], np.zeros(live.size), np.ones(live.size)
         for _ in range(depth):
+            if not live.size:
+                break
             seg = segment_indices(knots, cur)
             alpha, beta, gamma = _abg_values(knots, seg, cur)
             di = d[seg]

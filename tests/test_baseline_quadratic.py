@@ -235,6 +235,8 @@ def test_evaluate_rejects_outside_domain():
         evaluate_quad(model, 0.0)
     with pytest.raises(ValueError, match="outside"):
         evaluate_quad(model, np.array([2.0, 151.0]))
+    with pytest.raises(ValueError, match="outside"):
+        evaluate_quad(model, [np.nan])
 
 
 def test_scalar_in_scalar_out():

@@ -215,6 +215,8 @@ class TestFit:
         assert code == 0
         payload = read_model_file(tmp / "m2.json")
         assert len(payload["parameters"]["d"]) == len(payload["knots"]) - 1
+        want = select_knots(load_series_csv(tmp / "poly.csv"), "extrema", n_interior=3, window=21, prominence=0.01)
+        assert [x for x, _ in payload["knots"]] == want.x.tolist()
 
     def test_knot_spec_usage_errors(self, poly_files, capsys):
         tmp = poly_files
@@ -227,6 +229,12 @@ class TestFit:
             ("fit", "--series", series, "--knots-mode", "extrema", "--n", "3",
              "--knots", "100", "--out-model", model, "--out-report", report),
             ("fit", "--series", series, "--knots", "abc",
+             "--out-model", model, "--out-report", report),
+            ("fit", "--series", series, "--knots", "100,200", "--n", "5", "--window", "7",
+             "--out-model", model, "--out-report", report),
+            ("fit", "--series", series, "--knots", "100,200", "--window", "7",
+             "--out-model", model, "--out-report", report),
+            ("fit", "--series", series, "--knots", "100,200", "--prominence", "0.5",
              "--out-model", model, "--out-report", report),
         ]
         for argv in cases:
@@ -486,6 +494,9 @@ class TestCompare:
         assert run(capsys, "compare", "--all-examples", "--knots", "100,200")[0] == 2
         assert run(capsys, "compare", "--all-examples", "--knots-mode", "extrema")[0] == 2
         assert run(capsys, "compare", "--all-examples", "--n", "3")[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--window", "5", "--prominence", "0.5")[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--window", "5")[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--prominence", "0.5")[0] == 2
 
 
 def fail_line(argv) -> tuple[int, str]:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +33,7 @@ def fixed_depth_reference(model, x, depth):
     acc_scale = np.ones_like(cur)
     acc_offset = np.zeros_like(cur)
     for _ in range(depth):
-        seg = segment_indices(knots, cur)
+        seg = np.clip(np.searchsorted(knots.x, cur, side="right") - 1, 0, knots.n_segments - 1)
         alpha, beta, gamma = _abg_values(knots, seg, cur)
         di = model.d[seg]
         acc_offset += acc_scale * (alpha - di * beta)
@@ -216,9 +218,9 @@ class TestAlphaBetaGamma:
         # segment labels come only from segment_indices, which stays in
         # 0..N-1 for any abscissa; evaluation rejects points outside [a, b]
         model = tent_model()
-        labels = segment_indices(model.knots, [-1.0, 0.0, 0.5, 1.0, 2.0])
-        assert labels.tolist() == [0, 0, 1, 1, 1]
-        for outside in (-0.5, 1.5):
+        labels = segment_indices(model.knots, [-1.0, 0.0, 0.5, 1.0, 2.0, np.nan])
+        assert labels.tolist() == [0, 0, 1, 1, 1, 1]
+        for outside in (-0.5, 1.5, np.nan, np.array([0.5, np.nan])):
             with pytest.raises(ValueError, match="outside model domain"):
                 model(outside)
 
@@ -227,6 +229,41 @@ def test_segment_indices_half_open():
     knots = Knots(np.array([0.0, 1.0, 2.0, 3.0]), np.zeros(4))
     xs = np.array([0.0, 0.999, 1.0, 1.5, 2.0, 2.999, 3.0])
     assert segment_indices(knots, xs).tolist() == [0, 0, 1, 1, 2, 2, 2]
+
+
+@st.composite
+def lookup_cases(draw):
+    """Knot abscissae, random, geometric (2^-k), clustered at 1e-9 or
+    subnormal, and queries: the knots, their float neighbours, points inside
+    and finite points outside the domain up to +-1e308."""
+    n = draw(st.integers(2, 300))
+    kind = draw(st.sampled_from(["random", "geometric", "clustered", "subnormal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        x = np.unique(rng.uniform(-1e3, 1e3, n + 1))
+    elif kind == "geometric":
+        x = np.append(0.0, 2.0 ** -np.arange(n)[::-1])
+    elif kind == "clustered":
+        x = np.unique(np.concatenate([[0.0, 1.0], 1e-9 + rng.integers(0, 4 * n, n) * 1e-23]))
+    else:
+        x = np.cumsum(rng.integers(1, 1000, n + 1)) * 5e-324
+    far = rng.uniform(-1.0, 1.0, 40) * 10.0 ** rng.integers(0, 309, 40)
+    queries = np.concatenate([
+        x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
+        rng.uniform(x[0], x[-1], 200), far, [-1e308, 1e308],
+    ])
+    return Knots(x, np.zeros(x.size)), rng.permutation(queries)
+
+
+@given(lookup_cases())
+@settings(max_examples=300, deadline=None)
+def test_segment_indices_match_binary_search(case):
+    knots, queries = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = segment_indices(knots, queries)
+    want = np.clip(np.searchsorted(knots.x, queries, side="right") - 1, 0, knots.n_segments - 1)
+    assert np.array_equal(got, want)
 
 
 class TestHutchinson:
@@ -345,6 +382,9 @@ class TestEvaluate:
             evaluate_fif(model, 1.5, 3)
         with pytest.raises(ValueError, match="outside"):
             evaluate_fif(model, np.array([0.2, -0.1]), 3)
+        for nan in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match="outside"):
+                evaluate_fif(model, nan)
 
     def test_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="depth"):
