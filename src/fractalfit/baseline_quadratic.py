@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs_core import Knots, Series, _chord, _domain_points, _frozen_array, segment_indices
-from .collage_fit import _segment_slices
+from .ifs_core import (
+    Knots, Series, _chord, _domain_points, _frozen_array, _project, _segment_slices, segment_indices,
+)
 
 __all__ = ["QuadModel", "fit_quadratic", "evaluate_quad"]
 
@@ -43,13 +44,10 @@ class QuadModel:
     chord_fallback: np.ndarray
 
     def __post_init__(self):
-        curvature = _frozen_array(self.curvature, "curvature")
-        fallback = np.asarray(self.chord_fallback, dtype=bool)
-        if curvature.size != self.knots.n_segments or fallback.size != curvature.size:
+        for name, dtype in (("curvature", float), ("chord_fallback", bool)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, dtype))
+        if not self.knots.n_segments == self.curvature.size == self.chord_fallback.size:
             raise ValueError("per-segment arrays must have one entry per segment")
-        fallback.setflags(write=False)
-        object.__setattr__(self, "curvature", curvature)
-        object.__setattr__(self, "chord_fallback", fallback)
 
     def __call__(self, x):
         return evaluate_quad(self, x)
@@ -77,12 +75,7 @@ def fit_quadratic(series: Series, knots: Knots) -> QuadModel:
     z, x = series.z, knots.x
     _, chord = _chord(knots, seg, z)
     bubble = (z - x[seg]) * (z - x[seg + 1])
-    numerator = np.add.reduceat((series.w - chord) * bubble, starts)
-    denominator = np.add.reduceat(bubble * bubble, starts)
-    fallback = denominator == 0.0
-    curvature = np.divide(
-        numerator, denominator, out=np.zeros(starts.size), where=~fallback
-    )
+    curvature, fallback = _project(series.w - chord, bubble, starts, 0.0)
     return QuadModel(knots=knots, curvature=curvature, chord_fallback=fallback)
 
 

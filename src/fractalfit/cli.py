@@ -7,7 +7,7 @@ version) sufficient to re-run the producing command.  Every command is
 deterministic given its flags and inputs; floats are serialized via repr, so
 equal runs give byte-identical files.
 
-Exit codes: 0 success, 1 data/numeric error, 2 usage error.
+Exit codes: 0 success, 1 data, numeric or allocation error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -326,12 +326,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.method == "quadratic" and args.d_max is not None:
+        raise UsageError("--d-max applies only to --method fractal")
     series = _read(args.series, load_series_csv)
     knots = _resolve_knots(args, series)
     normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
 
     if args.method == "fractal":
-        report = fit_d_discrete(series, knots, args.d_max)
+        report = fit_d_discrete(series, knots, D_MAX_DEFAULT if args.d_max is None else args.d_max)
         model = build_model(knots, report.d)
         flags = {"clamped": report.clamped, "degenerate": report.degenerate}
         statistics = {
@@ -411,7 +413,8 @@ def _cmd_compare(args) -> int:
         series = _read(args.series, load_series_csv)
         knots = _resolve_knots(args, series)
         name = Path(args.series).stem
-    rows = [compare(series, knots, name=name, depth=args.depth, d_max=args.d_max)]
+    d_max = D_MAX_DEFAULT if args.d_max is None else args.d_max
+    rows = [compare(series, knots, name=name, depth=args.depth, d_max=d_max)]
     payload = {"rows": [asdict(row) for row in rows]}
     if args.format == "json":
         print(_json_text(payload), end="")
@@ -432,6 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     depth_help = "fixed pre-fractal depth (default: each point within 1e-9 of the attractor)"
+    d_max_help = f"clamp for |d_i| of the fractal fit (default {D_MAX_DEFAULT})"
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("gen", help="generate a series (normalized + raw + params)")
@@ -446,7 +450,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--series", required=True, help="input series CSV")
     fit.add_argument("--method", choices=["fractal", "quadratic"], default="fractal")
     _add_knot_args(fit)
-    fit.add_argument("--d-max", type=float, default=D_MAX_DEFAULT, help="clamp for |d_i|")
+    fit.add_argument("--d-max", type=float, help=d_max_help)
     fit.add_argument("--strict", action="store_true", help="exit 1 if any segment was flagged")
     fit.add_argument("--norm-params", help="params JSON from gen, embedded as provenance")
     fit.add_argument("--out-model", required=True, help="output model JSON")
@@ -466,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_parser.add_argument("--all-examples", action="store_true", help="run the built-in polynomial pipeline")
     _add_knot_args(cmp_parser)
     cmp_parser.add_argument("--depth", type=int, help=depth_help)
-    cmp_parser.add_argument("--d-max", type=float, default=D_MAX_DEFAULT)
+    cmp_parser.add_argument("--d-max", type=float, help=d_max_help)
     cmp_parser.add_argument("--format", choices=["text", "json"], default="text")
     cmp_parser.add_argument("--out", help="also write the comparison JSON here")
     cmp_parser.set_defaults(handler=_cmd_compare)
@@ -483,7 +487,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ifs_core import Knots, Series, _abg_values, _frozen_array
+from .ifs_core import Knots, Series, _abg_values, _frozen_array, _project, _segment_slices
 
 __all__ = [
     "FitReport",
@@ -64,15 +64,11 @@ class FitReport:
     collage_bound: float
 
     def __post_init__(self):
-        d = _frozen_array(self.d, "scaling factors")
-        clamped = np.asarray(self.clamped, dtype=bool)
-        degenerate = np.asarray(self.degenerate, dtype=bool)
-        if not d.size == clamped.size == degenerate.size:
+        for name, noun, dtype in (("d", "scaling factors", float),
+                                  ("clamped", "clamped", bool), ("degenerate", "degenerate", bool)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), noun, dtype))
+        if not self.d.size == self.clamped.size == self.degenerate.size:
             raise ValueError("report arrays differ in length")
-        for name, arr in (("clamped", clamped), ("degenerate", degenerate)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "d", d)
 
 
 def piecewise_constant_extension(series: Series) -> Callable:
@@ -90,30 +86,6 @@ def piecewise_constant_extension(series: Series) -> Callable:
         return w[idx]
 
     return extension
-
-
-def _segment_slices(series: Series, knots: Knots):
-    """Check the fitting preconditions (knots drawn from the series,
-    endpoints shared); return each segment's first sample index and every
-    sample's segment label.
-
-    Samples are sorted and knots are samples, so segment i is the slice
-    ``starts[i]:starts[i + 1]`` of the series (the last one runs to the end,
-    so it holds b), and per-segment sums are one ``np.add.reduceat`` over
-    ``starts``.  The labels agree with :func:`segment_indices`.
-    """
-    z = series.z
-    pos = np.searchsorted(z, knots.x)
-    ok = (pos < z.size) & (z[np.minimum(pos, z.size - 1)] == knots.x)
-    if not np.all(ok):
-        raise ValueError("knot abscissae must be a subset of series abscissae")
-    if knots.x[0] != z[0] or knots.x[-1] != z[-1]:
-        raise ValueError("knots must span the series (endpoint abscissae differ)")
-    if knots.y[0] != series.w[0] or knots.y[-1] != series.w[-1]:
-        raise ValueError("endpoint knot ordinates must equal the series values")
-    starts = pos[:-1]
-    seg = np.repeat(np.arange(starts.size), np.diff(np.append(starts, z.size)))
-    return starts, seg
 
 
 def _collage_terms(series: Series, knots: Knots):
@@ -145,30 +117,16 @@ def fit_d_discrete(
         raise ValueError("d_max must lie in (0, 1)")
     starts, seg, alpha, basis = _collage_terms(series, knots)
     w = series.w
-    numerator = np.add.reduceat((alpha - w) * basis, starts)
-    denominator = np.add.reduceat(basis * basis, starts)
-    eps_den = (
-        1e-12
-        * series.m_count
-        * (np.max(np.abs(w)) + np.max(np.abs(knots.y))) ** 2
-    )
-    # "<=" so a denominator of exactly 0 (all-zero data makes eps_den 0
-    # too) is still caught rather than dividing 0/0.
-    degenerate = denominator <= eps_den
-    d = np.divide(numerator, denominator, out=np.zeros(starts.size), where=~degenerate)
+    eps_den = 1e-12 * series.m_count * (np.max(np.abs(w)) + np.max(np.abs(knots.y))) ** 2
+    d, degenerate = _project(alpha - w, basis, starts, eps_den)
     clamped = np.abs(d) > d_max
     d[clamped] = np.sign(d[clamped]) * d_max
 
     rss = _collage_rss(series, seg, alpha, basis, d)
     contraction = float(np.max(np.abs(d)))
-    return FitReport(
-        d=d,
-        clamped=clamped,
-        degenerate=degenerate,
-        collage_rss=rss,
-        contraction_factor=contraction,
-        collage_bound=float(np.sqrt(rss / series.m_count) / (1.0 - contraction)),
-    )
+    bound = float(np.sqrt(rss / series.m_count) / (1.0 - contraction))
+    return FitReport(d=d, clamped=clamped, degenerate=degenerate, collage_rss=rss,
+                     contraction_factor=contraction, collage_bound=bound)
 
 
 def collage_residual(series: Series, knots: Knots, d: Sequence[float]) -> float:

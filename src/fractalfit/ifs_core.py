@@ -48,8 +48,9 @@ MAX_LEVELS = 10_000  # most levels default_depth allows before refusing a model
 _CHUNK = 1 << 14  # points per chunk: its working arrays (128 KiB each) stay in cache
 
 
-def _frozen_array(values, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
+    """A read-only one-dimensional copy of ``values``, checked finite."""
+    arr = np.array(values, dtype=dtype)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if not np.all(np.isfinite(arr)):
@@ -61,7 +62,8 @@ def _frozen_array(values, name: str) -> np.ndarray:
 class _SortedPairs:
     """The sample frame that :class:`Knots` and :class:`Series` share: two
     finite one-dimensional arrays of equal length, at least ``_MIN_COUNT``
-    long, with strictly increasing abscissae, frozen after the checks."""
+    long, with strictly increasing abscissae, frozen after the checks; no
+    difference of two entries of either array may overflow a double."""
 
     _NOUN: str
     _MIN_COUNT: int
@@ -75,8 +77,12 @@ class _SortedPairs:
             raise ValueError(f"{self._NOUN} abscissae and ordinates differ in length")
         if x.size < self._MIN_COUNT:
             raise ValueError(self._TOO_FEW)
-        if not np.all(np.diff(x) > 0):
-            raise ValueError(f"{self._NOUN} abscissae must be strictly increasing")
+        with np.errstate(over="ignore"):  # an overflowing difference is reported below
+            if not np.all(np.diff(x) > 0):
+                raise ValueError(f"{self._NOUN} abscissae must be strictly increasing")
+            for arr, name in ((x, "abscissae"), (y, "ordinates")):
+                if not np.isfinite(np.ptp(arr)):
+                    raise ValueError(f"{self._NOUN} {name} span more than the largest double")
         object.__setattr__(self, xname, x)
         object.__setattr__(self, yname, y)
 
@@ -149,6 +155,41 @@ class Series(_SortedPairs):
     @property
     def m_count(self) -> int:
         return self.z.size
+
+
+def _segment_slices(series: Series, knots: Knots):
+    """Check the fitting preconditions (knots drawn from the series,
+    endpoints shared); return each segment's first sample index and every
+    sample's segment label.
+
+    Samples are sorted and knots are samples, so segment i is the slice
+    ``starts[i]:starts[i + 1]`` of the series (the last one runs to the end,
+    so it holds b), and per-segment sums are one ``np.add.reduceat`` over
+    ``starts``.  The labels agree with :func:`segment_indices`.
+    """
+    z = series.z
+    pos = np.searchsorted(z, knots.x)
+    ok = (pos < z.size) & (z[np.minimum(pos, z.size - 1)] == knots.x)
+    if not np.all(ok):
+        raise ValueError("knot abscissae must be a subset of series abscissae")
+    if knots.x[0] != z[0] or knots.x[-1] != z[-1]:
+        raise ValueError("knots must span the series (endpoint abscissae differ)")
+    if knots.y[0] != series.w[0] or knots.y[-1] != series.w[-1]:
+        raise ValueError("endpoint knot ordinates must equal the series values")
+    starts = pos[:-1]
+    seg = np.repeat(np.arange(starts.size), np.diff(np.append(starts, z.size)))
+    return starts, seg
+
+
+def _project(residual, basis, starts, floor: float):
+    """The one-parameter least squares both fits solve on each slice
+    ``starts[i]:starts[i + 1]`` (see :func:`_segment_slices`): returns p, with
+    p_i = sum(residual * basis) / sum(basis^2), and ``flat``, the segments with
+    sum(basis^2) <= ``floor`` (at a ``floor`` of 0, exactly 0), where p_i = 0."""
+    numerator = np.add.reduceat(residual * basis, starts)
+    denominator = np.add.reduceat(basis * basis, starts)
+    flat = denominator <= floor
+    return np.divide(numerator, denominator, out=np.zeros(starts.size), where=~flat), flat
 
 
 @dataclass(frozen=True)

@@ -250,3 +250,14 @@ def test_model_validates_array_lengths():
     knots = Knots.from_points([(0, 0), (1, 1), (2, 0)])
     with pytest.raises(ValueError, match="per segment"):
         QuadModel(knots=knots, curvature=np.zeros(3), chord_fallback=np.zeros(3, bool))
+
+
+def test_model_copies_and_freezes_its_arrays():
+    knots = Knots.from_points([(0, 0), (1, 1), (2, 0)])
+    curvature, fallback = np.array([0.5, -0.5]), np.array([False, True])
+    model = QuadModel(knots, curvature, fallback)
+    for given, kept in ((curvature, model.curvature), (fallback, model.chord_fallback)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+        assert np.array_equal(given, kept)
+    assert model.chord_fallback.dtype == bool

@@ -236,10 +236,21 @@ class TestFit:
              "--out-model", model, "--out-report", report),
             ("fit", "--series", series, "--knots", "100,200", "--prominence", "0.5",
              "--out-model", model, "--out-report", report),
+            ("fit", "--series", series, "--knots", "100,200", "--method", "quadratic",
+             "--d-max", "0.5", "--out-model", model, "--out-report", report),
+            # found before the series is read
+            ("fit", "--series", str(tmp / "missing.csv"), "--knots", "100,200",
+             "--method", "quadratic", "--d-max", "0.5", "--out-model", model, "--out-report", report),
         ]
         for argv in cases:
             code, _, err = run(capsys, *argv)
             assert code == 2, argv
+        assert "--d-max" in err
+
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    def test_help_states_d_max_default(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "(default 0.99)" in " ".join(out.split())
 
     def test_bad_knot_index_is_data_error(self, poly_files, capsys):
         code, _, err = fit_poly(poly_files, capsys, "--knots", "100,200,99999")
@@ -307,6 +318,13 @@ class TestEval:
         missing = str(tmp_path / "missing.json")
         assert run(capsys, "eval", "--model", missing, "--grid", "1", "--out", out)[0] == 2
         assert run(capsys, "eval", "--model", missing, "--out", out)[0] == 2
+
+    def test_failed_allocation_is_data_error(self, tmp_path):
+        # 10^15 grid points (8 PB) fail at allocation, before any memory is touched
+        path = tmp_path / "tent.json"
+        write_json(path, tent_payload())
+        code, err = fail_line(["eval", "--model", str(path), "--grid", str(10**15), "--out", str(tmp_path / "c.csv")])
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_level_ceiling_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "steep.json"
@@ -485,6 +503,13 @@ class TestCompare:
         second = run(capsys, *argv)
         assert first == second
 
+    def test_d_max_reaches_the_fit(self, poly_files, capsys):
+        argv = ("compare", "--series", str(poly_files / "poly.csv"), "--knots", "100,200,300", "--format", "json")
+        code, out, _ = run(capsys, *argv, "--d-max", "0.01")
+        assert code == 0 and json.loads(out)["rows"][0]["contraction_factor"] == 0.01
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["rows"][0]["contraction_factor"] > 0.01
+
     def test_usage_errors(self, poly_files, capsys):
         tmp = poly_files
         assert run(capsys, "compare")[0] == 2
@@ -552,6 +577,28 @@ def run_on_bad_file(tmp: Path, name: str, text: str, command: str) -> tuple[int,
          "at-order", "nucleotide"],
 )
 def test_bad_input_file_is_named_once(tmp_path, name, text, command):
+    assert_names_file_once(*run_on_bad_file(tmp_path, name, text, command), tmp_path / name)
+
+
+def _tent_with_knots(points) -> str:
+    payload = json.loads(_TENT)
+    payload["knots"], payload["domain"] = points, [points[0][0], points[-1][0]]
+    return json.dumps(payload)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name, text, command",
+    [
+        ("span.json", _tent_with_knots([[-1e308, 0.0], [0.0, 1.0], [1e308, 0.0]]), "eval"),
+        ("range.json", _tent_with_knots([[0.0, -1e308], [0.5, 1e308], [1.0, -1e308]]), "eval"),
+        ("span.csv", "-1e308,0\n0,1\n1e308,2\n", "compare"),
+        ("range.csv", "-1e308\n1e308\n-1e308\n", "compare"),
+    ],
+    ids=["knot-span", "knot-range", "series-span", "series-range"],
+)
+def test_overflowing_range_is_named_once(tmp_path, name, text, command):
+    # one error line naming the file, and no numpy overflow warning before it
     assert_names_file_once(*run_on_bad_file(tmp_path, name, text, command), tmp_path / name)
 
 

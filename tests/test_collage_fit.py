@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,16 @@ class TestSeries:
         with pytest.raises(ValueError, match="series abscissae must be one-dimensional"):
             Series(np.array([[0.0, 1.0], [2.0, 3.0]]), np.zeros(4))
 
+    @pytest.mark.parametrize("z, w, message", [
+        ([-1e308, 1e308], [0.0, 1.0], "series abscissae span"),
+        ([1.0, 2.0, 3.0], [-1e308, 1e308, -1e308], "series ordinates span"),
+    ], ids=["abscissae", "ordinates"])
+    def test_rejects_overflowing_range(self, z, w, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Series(np.array(z), np.array(w))
+
     def test_from_points_and_m_count(self):
         series = Series.from_points([(0, 5.0), (1, 6.0), (2, 7.0)])
         assert series.m_count == 3
@@ -63,6 +75,16 @@ def test_fit_report_rejects_ragged_arrays():
             contraction_factor=0.2,
             collage_bound=0.0,
         )
+
+
+def test_fit_report_copies_and_freezes_its_arrays():
+    d, clamped, degenerate = np.array([0.1, 0.2]), np.array([True, False]), np.array([False, True])
+    report = FitReport(d, clamped, degenerate, collage_rss=0.0, contraction_factor=0.2, collage_bound=0.0)
+    for given, kept in ((d, report.d), (clamped, report.clamped), (degenerate, report.degenerate)):
+        assert given.flags.writeable and not kept.flags.writeable
+        assert not np.shares_memory(given, kept)
+        assert np.array_equal(given, kept)
+    assert report.clamped.dtype == report.degenerate.dtype == bool
 
 
 class TestExtension:

@@ -94,6 +94,22 @@ class TestKnots:
         with pytest.raises(ValueError, match="knot abscissae must be one-dimensional"):
             Knots(np.array([[0.0, 1.0, 2.0]]), np.zeros(3))
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([-1e308, 0.0, 1e308], [0.0, 1.0, 0.0], "knot abscissae span more than the largest double"),
+        ([0.0, 1.0, 2.0], [-1e308, 1e308, -1e308], "knot ordinates span more than the largest double"),
+        ([-1e308, 1e308, 0.0], [0.0, 1.0, 0.0], "strictly increasing"),
+    ], ids=["abscissae", "ordinates", "unsorted"])
+    def test_rejects_overflowing_range(self, x, y, message):
+        # one ValueError, no numpy overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                Knots(np.array(x), np.array(y))
+
+    def test_accepts_wide_finite_range(self):
+        knots = Knots(np.array([-1e307, 0.0, 1e307]), np.array([-1e307, 1e307, 0.0]))
+        assert segment_indices(knots, np.array([-1e307, 1.0, 1e307])).tolist() == [0, 1, 1]
+
     def test_arrays_immutable(self):
         knots = tent_model().knots
         with pytest.raises(ValueError):
