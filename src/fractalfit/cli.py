@@ -28,6 +28,7 @@ from .baseline_quadratic import QuadModel, fit_quadratic
 from .collage_fit import D_MAX_DEFAULT, fit_d_discrete
 from .datasets import (
     NormalizationParams,
+    _read_columns,
     gen_dna_walk,
     gen_polynomial,
     gen_random_walk,
@@ -377,7 +378,7 @@ def _cmd_eval(args) -> int:
     if args.grid is not None:
         xs = np.linspace(model.knots.a, model.knots.b, args.grid)
     else:
-        xs = _read(args.at, load_series_csv).z
+        xs = _read(args.at, lambda path: _read_columns(path, 1)[0])
     values = model(xs) if args.depth is None else model(xs, args.depth)
     write_series_csv(args.out, xs, values, header="x,value")
     print(f"wrote {args.out} ({xs.size} points)")
@@ -460,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate = commands.add_parser("eval", help="evaluate a model file to a curve CSV")
     evaluate.add_argument("--model", required=True, help="model JSON from fit")
     evaluate.add_argument("--grid", type=int, help="uniform grid resolution over the domain")
-    evaluate.add_argument("--at", help="series CSV providing the abscissae")
+    evaluate.add_argument("--at", help="CSV of query points in any order (first column, or 1..M)")
     evaluate.add_argument("--depth", type=int, help=depth_help)
     evaluate.add_argument("--out", required=True, help="output curve CSV")
     evaluate.set_defaults(handler=_cmd_eval)

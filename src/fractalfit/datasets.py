@@ -14,8 +14,9 @@ local extrema of a smoothed copy of the data.
 
 from __future__ import annotations
 
+import re
+import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from os import PathLike
 from pathlib import Path
 from typing import Sequence
@@ -98,18 +99,25 @@ def load_series_csv(path: str | PathLike) -> Series:
     or two columns (z, w).  An optional single header line is detected by a
     non-numeric first field.  Blank lines are skipped; line numbers in error
     messages count every line of the file."""
+    return Series(*_read_columns(path, 2))
+
+
+def _read_columns(path, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (z, w) columns of at least ``min_rows`` finite rows, by the rules
+    of :func:`load_series_csv` bar the order of z.  numpy's reader takes a
+    subset of the spellings of ``float()``, to the same values; the scan
+    reads what it declines and reports a row or column count out of rule."""
     text = Path(path).read_text(encoding="utf-8")
-    data = _parse_rows(text)
-    if data is None:
-        _raise_line_fault(path, text)
-        raise ValueError(f"{path}: need at least 2 data rows")
+    data = _fast_rows(path, text)
+    if data is None or data.shape[0] < min_rows or data.shape[1] > 2:
+        data = _scan_rows(path, text, min_rows)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         lineno, _ = _numbered_data_lines(text)[int(np.argmin(finite))]
         raise ValueError(f"{path}: non-finite value on line {lineno}")
     if data.shape[1] == 1:
-        return Series(np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0])
-    return Series(data[:, 0], data[:, 1])
+        return np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0]
+    return data[:, 0], data[:, 1]
 
 
 def _is_header(line: str) -> bool:
@@ -120,27 +128,22 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _parse_rows(text: str) -> np.ndarray | None:
-    """The data cells of ``text`` as a (rows, 1 or 2) array in one numpy
-    conversion, or None when the text is malformed or has fewer than 2 rows.
-
-    numpy converts each ``str`` cell with Python ``float()`` semantics, so
-    the accepted spellings (padding, ``nan``, ``1_0``, ...) match the
-    per-line rules of ``_raise_line_fault`` exactly.
-    """
-    lines = list(filter(str.strip, text.splitlines()))
-    if lines and _is_header(lines[0]):
-        del lines[0]
-    commas = set(map(str.count, lines, repeat(",")))
-    if len(lines) < 2 or commas not in ({0}, {1}):
+def _fast_rows(path, text: str) -> np.ndarray | None:
+    """The cells of ``text``, read from ``path`` by ``np.loadtxt``; None if
+    numpy raises or warns, or where its rules and the scan's part: at the
+    line breaks of ``str.splitlines`` that numpy does not know, and at U+001F,
+    which numpy strips from a line's end and ``float()`` refuses.  The first
+    line is skipped if blank or a header; numpy raises at a later header."""
+    if any(char in text for char in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x1f"):
         return None
-    cells = ",".join(lines).split(",")
-    del lines
+    skip = int(_is_header(re.match("[^\r\n]*", text)[0]))
     try:
-        values = np.array(cells, dtype=float)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # "input contained no data"
+            return np.loadtxt(path, encoding="utf-8", delimiter=",", comments=None,
+                              skiprows=skip, ndmin=2)
+    except (ValueError, UserWarning):
         return None
-    return values.reshape(-1, commas.pop() + 1)
 
 
 def _numbered_data_lines(text: str) -> list[tuple[int, str]]:
@@ -152,15 +155,16 @@ def _numbered_data_lines(text: str) -> list[tuple[int, str]]:
     return numbered
 
 
-def _raise_line_fault(path, text: str) -> None:
-    """Raise for the first data line with a non-numeric cell or a bad
-    column count; return only when every line is well formed."""
+def _scan_rows(path, text: str, min_rows: int) -> np.ndarray:
+    """The cells of ``text``, one Python ``float()`` each, as a (rows, 1 or
+    2) array.  Raises for the first data line with a non-numeric cell or a
+    bad column count, then for fewer than ``min_rows`` rows."""
+    values: list[float] = []
     columns = None
     for lineno, line in _numbered_data_lines(text):
         cells = line.split(",")
         try:
-            for cell in cells:
-                float(cell)
+            values.extend(map(float, cells))
         except ValueError:
             raise ValueError(f"{path}: non-numeric value on line {lineno}") from None
         if len(cells) not in (1, 2) or columns not in (None, len(cells)):
@@ -168,6 +172,9 @@ def _raise_line_fault(path, text: str) -> None:
                 f"{path}: expected 1 or 2 columns, got {len(cells)} on line {lineno}"
             )
         columns = len(cells)
+    if len(values) < min_rows * (columns or 1):
+        raise ValueError(f"{path}: need at least {min_rows} data row{'s' * (min_rows > 1)}")
+    return np.array(values).reshape(-1, columns)
 
 
 def normalize(series: Series) -> tuple[Series, NormalizationParams]:

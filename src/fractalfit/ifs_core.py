@@ -377,12 +377,15 @@ def _chord_b0(knots: Knots, x):
     return ky[0] + (ky[-1] - ky[0]) * (x - kx[0]) / (kx[-1] - kx[0])
 
 
+def _chord_gap(knots: Knots) -> float:
+    """||Phi b0 - b0||_inf: beta_i is b0 o gamma_i, so Phi b0 is the
+    polyline through the knots."""
+    return float(np.max(np.abs(knots.y - _chord_b0(knots, knots.x))))
+
+
 def _tail_bound(model: FifModel) -> float:
-    """B = ||Phi b0 - b0||_inf / (1 - c) >= ||b0 - g*||_inf: beta_i is
-    b0 o gamma_i, so Phi b0 is the polyline through the knots."""
-    knots = model.knots
-    gap = np.max(np.abs(knots.y - _chord_b0(knots, knots.x)))
-    return float(gap) / (1.0 - model.contraction_factor)
+    """B = ||Phi b0 - b0||_inf / (1 - c) >= ||b0 - g*||_inf."""
+    return _chord_gap(model.knots) / (1.0 - model.contraction_factor)
 
 
 def default_depth(model: FifModel) -> int:
@@ -390,9 +393,12 @@ def default_depth(model: FifModel) -> int:
     smallest D with c^D * B <= TOL, for c = max|d_i| and B the bound on
     ||b0 - g*||_inf (Barnsley, Constr. Approx. 1986).  Raises ValueError
     when D exceeds ``MAX_LEVELS``; only an explicit depth evaluates then."""
-    c, bound = model.contraction_factor, _tail_bound(model)
+    c, gap = model.contraction_factor, _chord_gap(model.knots)
+    if gap / (1.0 - c) <= TOL:
+        return 0
+    # in logs, since B may overflow although every knot is finite
     with np.errstate(divide="ignore"):  # log(0) = -inf: c == 0 takes max(1, 0) = 1 level
-        depth = 0 if bound <= TOL else max(1, int(np.ceil(np.log(TOL / bound) / np.log(c))))
+        depth = max(1, int(np.ceil((np.log(gap) - np.log1p(-c) - np.log(TOL)) / -np.log(c))))
     if depth > MAX_LEVELS:
         raise ValueError(f"max|d_i| = {c:.10g} needs {depth} evaluation levels, "
                          f"more than {MAX_LEVELS}; pass an explicit --depth")

@@ -298,6 +298,29 @@ class TestEval:
             curve[:, 1], evaluate_fif(model, curve[:, 0]), rtol=0, atol=0
         )
 
+    @pytest.mark.parametrize(
+        "text, points",
+        [
+            ("x,value\n60.5,0\n", [60.5]),
+            ("70.0,0\n60.5,1\n50.0,2\n", [70.0, 60.5, 50.0]),
+            ("50.0,0\n60.5,0\n50.0,0\n", [50.0, 60.5, 50.0]),
+            ("7\n", [1.0]),
+        ],
+        ids=["one-row", "reversed", "duplicate", "one-column"],
+    )
+    def test_eval_at_takes_query_points_as_given(self, poly_files, capsys, text, points):
+        tmp = poly_files
+        fit_poly(tmp, capsys)
+        at = tmp / "at.csv"
+        at.write_text(text)
+        out = tmp / "c.csv"
+        code, stdout, _ = run(capsys, "eval", "--model", str(tmp / "model.json"), "--at", str(at), "--out", str(out))
+        assert code == 0 and f"({len(points)} points)" in stdout
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [float(x) for x, _ in rows] == points
+        model = model_from_payload(read_model_file(tmp / "model.json"))
+        assert [float(v) for _, v in rows] == evaluate_fif(model, np.array(points)).tolist()
+
     def test_outside_domain_is_data_error(self, poly_files, capsys):
         tmp = poly_files
         fit_poly(tmp, capsys)
@@ -335,6 +358,16 @@ class TestEval:
         assert code == 1 and "Traceback" not in err
         assert err.count("\n") == 1 and err.startswith("error: ") and "--depth" in err, err
         assert run(capsys, "eval", "--model", str(path), "--grid", "5", "--depth", "5", "--out", out)[0] == 0
+
+    def test_overflowing_tail_bound_is_data_error(self, tmp_path):
+        # B = gap / (1 - c) overflows although the knots are finite: the depth
+        # is taken in logs, so the ceiling names it instead of a traceback
+        path = tmp_path / "tall.json"
+        knots = Knots.from_points([(0, 0), (1, 1e307), (2, 0)])
+        write_json(path, model_to_payload(build_model(knots, [0.99, 0.99])))
+        code, err = fail_line(["eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv")])
+        assert code == 1 and err.count("\n") == 1, err
+        assert err.startswith("error: max|d_i| = 0.99 needs ") and "more than 10000" in err, err
 
     def test_depth_on_quadratic_rejected(self, poly_files, capsys):
         tmp = poly_files
@@ -570,11 +603,12 @@ def run_on_bad_file(tmp: Path, name: str, text: str, command: str) -> tuple[int,
         ("deep.json", "[" * 100_000 + "]" * 100_000, "eval"),
         ("order.csv", "1,0\n3,1\n2,2\n", "fit"),
         ("order.csv", "1,0\n3,1\n2,2\n", "compare"),
-        ("order.csv", "0,0\n0.5,1\n0.25,2\n", "at"),
+        ("nan.csv", "0,0\nnan,1\n", "at"),
+        ("header.csv", "x,value\n", "at"),
         ("seq.fasta", ">x\nACGTNA\n", "gen"),
     ],
     ids=["knot-order", "d-range", "json-syntax", "json-depth", "series-order", "compare-order",
-         "at-order", "nucleotide"],
+         "at-non-finite", "at-no-rows", "nucleotide"],
 )
 def test_bad_input_file_is_named_once(tmp_path, name, text, command):
     assert_names_file_once(*run_on_bad_file(tmp_path, name, text, command), tmp_path / name)
@@ -610,7 +644,9 @@ _JUNK = st.sampled_from([7, 1.5, *_NOT_A_NUMBER])
 @st.composite
 def malformed_series_csv(draw):
     cells = [[repr(float(z)), repr(draw(st.floats(-9, 9)))] for z in range(draw(st.integers(2, 8)))]
-    fault = draw(st.sampled_from(["cell", "ragged", "order", "short"]))
+    command = draw(st.sampled_from(["fit", "compare", "at"]))
+    # query points may come one at a time and in any order
+    fault = draw(st.sampled_from(["cell", "ragged", *(["order", "short"] if command != "at" else [])]))
     row = draw(st.integers(1, len(cells) - 1))  # row 0 would read as a header
     if fault == "cell":
         cells[row][draw(st.integers(0, 1))] = draw(st.sampled_from(["x", "", "1.2.3", "--1", "1e"]))
@@ -620,7 +656,6 @@ def malformed_series_csv(draw):
         cells[row][0] = repr(float(cells[row - 1][0]) - draw(st.sampled_from([0.0, 0.5, 3.0])))
     else:
         del cells[draw(st.integers(0, 1)):]
-    command = draw(st.sampled_from(["fit", "compare", "at"]))
     return "bad.csv", "".join(",".join(line) + "\n" for line in cells), command
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -267,6 +269,135 @@ class TestLoadSeriesCsv:
         path = tmp_path_factory.getbasetemp() / "oracle.csv"
         path.write_bytes(text.encode("utf-8"))
         assert load_outcome(load_series_csv, path) == load_outcome(oracle_load_series_csv, path)
+
+
+def parent_load_series_csv(path):
+    """The loader as it stood before numpy's own reader took its fast path:
+    one numpy conversion of the joined cells, and the per-line scan for
+    errors.  Kept as the reference the loader must match bit for bit."""
+    text = Path(path).read_text(encoding="utf-8")
+    data = _parent_parse_rows(text)
+    if data is None:
+        _parent_raise_line_fault(path, text)
+        raise ValueError(f"{path}: need at least 2 data rows")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        lineno, _ = _parent_numbered_data_lines(text)[int(np.argmin(finite))]
+        raise ValueError(f"{path}: non-finite value on line {lineno}")
+    if data.shape[1] == 1:
+        return Series(np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0])
+    return Series(data[:, 0], data[:, 1])
+
+
+def _parent_is_header(line):
+    try:
+        float(line.split(",", 1)[0])
+    except ValueError:
+        return True
+    return False
+
+
+def _parent_parse_rows(text):
+    lines = list(filter(str.strip, text.splitlines()))
+    if lines and _parent_is_header(lines[0]):
+        del lines[0]
+    commas = set(map(str.count, lines, itertools.repeat(",")))
+    if len(lines) < 2 or commas not in ({0}, {1}):
+        return None
+    cells = ",".join(lines).split(",")
+    try:
+        values = np.array(cells, dtype=float)
+    except ValueError:
+        return None
+    return values.reshape(-1, commas.pop() + 1)
+
+
+def _parent_numbered_data_lines(text):
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if numbered and _parent_is_header(numbered[0][1]):
+        del numbered[0]
+    return numbered
+
+
+def _parent_raise_line_fault(path, text):
+    columns = None
+    for lineno, line in _parent_numbered_data_lines(text):
+        cells = line.split(",")
+        try:
+            for cell in cells:
+                float(cell)
+        except ValueError:
+            raise ValueError(f"{path}: non-numeric value on line {lineno}") from None
+        if len(cells) not in (1, 2) or columns not in (None, len(cells)):
+            raise ValueError(
+                f"{path}: expected 1 or 2 columns, got {len(cells)} on line {lineno}"
+            )
+        columns = len(cells)
+
+
+#: The characters where numpy's reader and Python's line and float rules part.
+_PARTING = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u2028", "\u2029"]
+_WILD_CELLS = st.sampled_from(
+    ["1_0", "\uff11\uff12", "nan", "inf", "-Infinity", "1e400", "#1", '"1"', "'2'", "", " ",
+     "1e", "0x10", "1\x001"]
+)
+_WILD_PADDING = st.sampled_from(["\u00a0", "\u3000", *_PARTING])
+
+
+@st.composite
+def wild_csv_texts(draw):
+    """CSV text mostly in the accepted format, now and then far from it:
+    headers, blank and whitespace-only lines, 1 to 3 columns, ragged rows,
+    trailing commas, underscores, full-width digits, comments, quotes,
+    non-finite and overflowing values, and the characters where numpy's
+    rules and Python's part, as padding and as line breaks; lines end in
+    LF, CRLF or CR."""
+
+    def now_and_then(wild, tame):
+        return draw(wild if draw(st.integers(0, 24)) == 0 else tame)
+
+    columns = draw(st.sampled_from([1, 2, 2, 3]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["z,w", "value", "x, y, z", "#", "1_0,w", "\uff11,w", "\ufeffz,w"])))
+    for i in range(draw(st.integers(0, 7))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u00a0", *_PARTING])))
+        width = columns + now_and_then(st.sampled_from([-1, 1]), st.just(0))
+        cells = [now_and_then(_WILD_CELLS, _GOOD_CELLS) for _ in range(max(1, width))]
+        if columns > 1:
+            cells[0] = draw(st.sampled_from([str(i + 1), repr(i + 1.5), f"{i + 1}e0"]))
+        pad = lambda: now_and_then(_WILD_PADDING, st.sampled_from(["", "", " ", "\t"]))
+        line = ",".join(pad() + cell + pad() for cell in cells)
+        lines.append(line + now_and_then(st.just(","), st.just("")))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    breaks = [now_and_then(st.sampled_from(_PARTING), st.just(newline)) for _ in lines]
+    return "".join(map(str.__add__, lines, breaks)) + draw(st.sampled_from(["", newline, "1"]))
+
+
+def bits_or_message(load, path):
+    """The loaded arrays as their bits, or the error message."""
+    try:
+        series = load(path)
+    except ValueError as exc:
+        return str(exc)
+    return series.z.view(np.uint64), series.w.view(np.uint64)
+
+
+@given(text=st.one_of(wild_csv_texts(), csv_texts()))
+@settings(max_examples=600, deadline=None)
+def test_loader_matches_parent_loader(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = bits_or_message(load_series_csv, path)
+    assert not caught, [str(w.message) for w in caught]
+    expected = bits_or_message(parent_load_series_csv, path)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected
+    else:
+        assert all(map(np.array_equal, got, expected))
 
 
 class TestNormalize:
