@@ -76,14 +76,24 @@ def piecewise_constant_extension(series: Series) -> Callable:
 
     Returns a vectorized callable with g(z) = w_m for the sample z_m closest
     to z; a point exactly midway between two samples takes the left one.
+    The index guessed from even spacing stands where the true midpoints
+    bracket the query, and is binary-searched elsewhere: exact for any
+    series, O(1) per query on an evenly spaced one.
     """
     z, w = series.z, series.w
-    midpoints = (z[:-1] + z[1:]) / 2.0
+    bracket = np.concatenate(([-np.inf], (z[:-1] + z[1:]) / 2.0, [np.inf]))  # padded midpoints
+    spacing = (z[-1] - z[0]) / (z.size - 1)
 
     def extension(q):
-        # searchsorted(side="left") sends q == midpoint to the left sample
-        idx = np.searchsorted(midpoints, np.asarray(q, dtype=float), side="left")
-        return w[idx]
+        q = np.asarray(q, dtype=float)
+        with np.errstate(all="ignore"):  # an overflowing or NaN guess only fails the check
+            guess = np.ceil((q - z[0]) / spacing - 0.5)
+        idx = np.array(np.fmin(np.fmax(guess, 0.0), z.size - 1), dtype=np.intp)  # NaN goes to 0
+        # the guess stands where midpoint[idx - 1] < q <= midpoint[idx], never at NaN
+        hit = (bracket.take(idx) < q) & (q <= bracket.take(idx + 1))
+        if not hit.all():  # side="left" sends q == midpoint to the left sample
+            idx[~hit] = np.searchsorted(bracket[1:-1], q[~hit], side="left")
+        return w.take(idx)
 
     return extension
 

@@ -269,9 +269,9 @@ def segment_indices(knots: Knots, x) -> np.ndarray:
     """
     lo, scale, first, pad, steps = knots._buckets
     q = np.fmax(np.fmin(np.asarray(x, dtype=float), knots.x[-1]), lo)
-    label = first[((q - lo) * scale).astype(np.intp)]
+    label = first.take(((q - lo) * scale).astype(np.intp))
     for step in steps:
-        label += step * (q >= pad[label + step])
+        label += step * (q >= pad.take(label + step))
     return label
 
 
@@ -284,8 +284,10 @@ def _chord(knots: Knots, seg: np.ndarray, x: np.ndarray):
     even for abscissae ~1e4).
     """
     width, rise = knots._gaps
-    t = (x - knots.x[seg]) / width[seg]
-    return t, knots.y[seg] + rise[seg] * t
+    t = x - knots.x.take(seg)
+    t /= width.take(seg)
+    alpha = rise.take(seg) * t
+    return t, np.add(knots.y.take(seg), alpha, out=alpha)
 
 
 def _abg_values(knots: Knots, seg: np.ndarray, x: np.ndarray):
@@ -293,9 +295,9 @@ def _abg_values(knots: Knots, seg: np.ndarray, x: np.ndarray):
     all in the anchored form of :func:`_chord`."""
     kx, ky = knots.x, knots.y
     t, alpha = _chord(knots, seg, x)
-    beta = ky[0] + (ky[-1] - ky[0]) * t
-    gamma = kx[0] + (kx[-1] - kx[0]) * t
-    return alpha, beta, gamma
+    beta = t * (ky[-1] - ky[0])
+    t *= kx[-1] - kx[0]  # t becomes gamma
+    return alpha, np.add(ky[0], beta, out=beta), np.add(kx[0], t, out=t)
 
 
 def _domain_points(knots: Knots, x) -> np.ndarray:
@@ -343,7 +345,7 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
     floor = 0.0
     if depth is None:
         depth = default_depth(model)
-        floor = TOL / _tail_bound(model) if depth else 0.0  # depth 0: B <= TOL
+        floor = _stop_floor(model) if depth else 0.0  # depth 0: B <= TOL
     if depth < 0:
         raise ValueError("depth must be >= 0")
     knots, d = model.knots, model.d
@@ -357,12 +359,13 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
                 break
             seg = segment_indices(knots, cur)
             alpha, beta, gamma = _abg_values(knots, seg, cur)
-            di = d[seg]
-            offset += scale * (alpha - di * beta)
+            di = d.take(seg)
+            alpha -= np.multiply(di, beta, out=beta)
+            offset += np.multiply(scale, alpha, out=alpha)
             scale *= di
             # gamma is exact at segment endpoints but may drift out by one ulp
             # strictly inside; clamp so the next level's lookup stays in domain.
-            cur = np.clip(gamma, knots.x[0], knots.x[-1])
+            cur = np.clip(gamma, knots.x[0], knots.x[-1], out=gamma)
             done = np.abs(scale) <= floor
             if done.any():
                 out[live[done]] = offset[done] + scale[done] * _chord_b0(knots, cur[done])
@@ -383,9 +386,11 @@ def _chord_gap(knots: Knots) -> float:
     return float(np.max(np.abs(knots.y - _chord_b0(knots, knots.x))))
 
 
-def _tail_bound(model: FifModel) -> float:
-    """B = ||Phi b0 - b0||_inf / (1 - c) >= ||b0 - g*||_inf."""
-    return _chord_gap(model.knots) / (1.0 - model.contraction_factor)
+def _stop_floor(model: FifModel) -> float:
+    """TOL / B (B as in :func:`default_depth`), kept positive where B overflows."""
+    c, gap = model.contraction_factor, _chord_gap(model.knots)
+    bound = gap / (1.0 - c)
+    return TOL / bound if bound < np.inf else TOL * (1.0 - c) / gap
 
 
 def default_depth(model: FifModel) -> int:

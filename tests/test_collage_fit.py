@@ -9,8 +9,13 @@ from fractalfit import (
     FitReport,
     Knots,
     Series,
+    collage_fit,
     collage_residual,
     fit_d_discrete,
+    gen_dna_walk,
+    gen_polynomial,
+    gen_random_walk,
+    load_series_csv,
     piecewise_constant_extension,
     select_knots,
 )
@@ -98,6 +103,76 @@ class TestExtension:
         g = piecewise_constant_extension(Series.from_points([(0, 1), (1, 2), (2, 3)]))
         assert g(0.5) == 1
         assert g(1.5) == 2
+
+
+@st.composite
+def extension_cases(draw):
+    """A series (even integer, even decimal or random spacing) and queries at
+    and beside every midpoint and sample, at the ends, outside, infinite
+    and NaN."""
+    m_count = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(["integer", "decimal", "random"]))
+    if kind == "integer":
+        start = draw(st.sampled_from([0, 1, -7, -(2**40), 2**40 - 5])) + draw(st.integers(-3, 3))
+        z = start + draw(st.integers(1, 5)) * np.arange(m_count, dtype=float)
+    elif kind == "decimal":
+        step = draw(st.sampled_from([0.1, 0.3, 1e-3]))
+        z = draw(st.sampled_from([0.0, 1.0, -3.3, 1e6])) + step * np.arange(m_count)
+    else:
+        seed = draw(st.integers(0, 2**32 - 1))
+        z = np.cumsum(np.random.default_rng(seed).uniform(1e-3, 2.0, m_count)) - 1.0
+    mid = (z[:-1] + z[1:]) / 2.0
+    span = z[-1] - z[0]
+    queries = np.concatenate([
+        mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf), z,
+        [z[0] - span, z[0] - 0.7, z[-1] + 0.7, z[-1] + span, np.inf, -np.inf, np.nan],
+        np.random.default_rng(m_count).uniform(z[0] - 1, z[-1] + 1, 20),
+    ])
+    return Series(z, np.arange(m_count) * 1.5 - 3.0), queries
+
+
+@given(extension_cases())
+@settings(max_examples=300, deadline=None)
+def test_extension_matches_binary_search(case):
+    series, queries = case
+    g = piecewise_constant_extension(series)
+    midpoints = (series.z[:-1] + series.z[1:]) / 2.0
+    want = series.w[np.searchsorted(midpoints, queries, side="left")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = g(queries)
+        grid = g(queries[: queries.size // 2 * 2].reshape(2, -1))
+        singles = [(g(q), g(np.asarray(q)), g(float(q))) for q in queries]
+    assert got.shape == queries.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert grid.shape == (2, queries.size // 2) and np.array_equal(grid.ravel(), want[: grid.size])
+    for single, expected in zip(singles, want):
+        assert all(np.shape(v) == () and v == expected for v in single)
+
+
+def test_fit_lookup_takes_the_even_spacing_path(tmp_path, monkeypatch):
+    # every generator and every 1-column CSV gives evenly spaced abscissae;
+    # a query sent to the binary search here means the O(1) guess broke
+    csv = tmp_path / "one_column.csv"
+    csv.write_text("".join(f"{v!r}\n" for v in np.sin(np.arange(2000) / 37.0).tolist()))
+    bases = np.random.default_rng(5).choice(list("ACGT"), 3000)
+    series_set = [gen_polynomial(5000), gen_dna_walk("".join(bases)),
+                  gen_random_walk(5000, 3), load_series_csv(csv)]
+    searched = []
+
+    class SpyNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def searchsorted(self, a, v, side="left"):
+            searched.append(np.size(v))
+            return np.searchsorted(a, v, side=side)
+
+    monkeypatch.setattr(collage_fit, "np", SpyNumpy())
+    for series in series_set:
+        knots = select_knots(series, "extrema", n_interior=4, window=21, prominence=0.01)
+        assert knots.n_segments > 2
+        fit_d_discrete(series, knots)
+    assert searched == []
 
 
 class TestFit:

@@ -14,6 +14,7 @@ from fractalfit import (
     evaluate_fif,
     fixed_point_residual,
     hutchinson_apply,
+    ifs_core,
     segment_indices,
 )
 from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values
@@ -472,6 +473,23 @@ class TestDepthAndResidual:
                     call()
                 assert f"max|d_i| = {c} " in str(info.value) and "--depth" in str(info.value)
             assert evaluate_fif(model, 0.5, 5) == 0.5
+
+    def test_per_point_stop_survives_overflowing_bound(self, monkeypatch):
+        # B = 1e308 / (1 - 0.9) overflows; points that pass the d = 0.1
+        # segment must still stop early, as they do at y = 1e300 (about 8%
+        # of the levels), rather than run nearly all D levels
+        model = build_model(Knots.from_points([(0, 0), (1, 1e308), (2, 0)]), [0.9, 0.1])
+        xs = np.linspace(0, 2, 1001)
+        lookup, sizes = ifs_core.segment_indices, []
+
+        def counting(knots, x):
+            sizes.append(np.size(x))
+            return lookup(knots, x)
+
+        monkeypatch.setattr(ifs_core, "segment_indices", counting)
+        values = evaluate_fif(model, xs)
+        assert sum(sizes) < 0.95 * xs.size * default_depth(model)
+        assert np.all(np.isfinite(values)) and values[500] == 1e308
 
     def test_residual_dyadic_tent(self):
         assert fixed_point_residual(tent_model(), 4097, 40) < 1e-6
