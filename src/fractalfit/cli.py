@@ -13,8 +13,10 @@ Exit codes: 0 success, 1 data, numeric or allocation error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,7 +38,7 @@ from .datasets import (
     normalize,
     select_knots,
 )
-from .ifs_core import FifModel, Knots, Series, build_model
+from .ifs_core import FifModel, Knots, Series, _domain_points, build_model
 
 SCHEMA_VERSION = "1"
 
@@ -80,18 +82,68 @@ def write_json(path, payload) -> None:
 
 
 #: Rows formatted and written at a time, so a long curve never sits in
-#: memory as text all at once.
+#: memory as text all at once: with worker processes, at most two slices per
+#: worker are in flight between the parent and the file.
 _CSV_CHUNK = 1 << 16
 
 
 def write_series_csv(path, x, y, header: str = "z,w") -> None:
     """Two-column CSV: the header line, then one ``x,y`` row of repr floats
     per sample."""
-    with Path(path).open("w", encoding="utf-8") as out:
-        out.write(header + "\n")
-        for i in range(0, len(x), _CSV_CHUNK):
-            rows = zip(x[i : i + _CSV_CHUNK].tolist(), y[i : i + _CSV_CHUNK].tolist())
-            out.write("".join(f"{a!r},{b!r}\n" for a, b in rows))
+    _write_rows(path, x, lambda rows: y[rows], header)
+
+
+def _format_rows(x, y) -> str:
+    """The ``x,y`` rows of one slice, each ending in a newline."""
+    return "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+
+
+def _write_rows(path, x, values, header: str) -> None:
+    """``write_series_csv(path, x, y, header)`` where ``values(rows)`` is
+    ``y[rows]`` for each slice ``rows`` of ``_CSV_CHUNK`` rows, called in
+    order.  With more than one slice and more than one usable CPU, worker
+    processes format the slices while the parent computes the next ones'
+    values; the bytes are the same.  A failure after the file is opened
+    removes it, so no partial file is left."""
+    path = Path(path)
+    slices = [slice(i, i + _CSV_CHUNK) for i in range(0, len(x), _CSV_CHUNK)]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(slices))
+    out = path.open("w", encoding="utf-8")
+    try:
+        with out:
+            out.write(header + "\n")
+            if workers > 1:
+                _write_pooled(out, x, values, slices, workers)
+            else:
+                for rows in slices:
+                    out.write(_format_rows(x[rows], values(rows)))
+    except BaseException:
+        if path.is_file() and not path.is_symlink():  # never /dev/stdout and the like
+            path.unlink()
+        raise
+
+
+def _write_pooled(out, x, values, slices, workers: int) -> None:
+    """The rows of ``slices``, formatted by ``workers`` forked processes and
+    written in order.  Fork, not spawn: a worker starts with the loaded
+    modules instead of importing numpy again."""
+    # imported here, so only a pooled write pays their 22 ms import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pending = collections.deque()
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            for rows in slices:
+                pending.append(pool.submit(_format_rows, x[rows], values(rows)))
+                if len(pending) == 2 * workers:
+                    out.write(pending.popleft().result())
+            while pending:
+                out.write(pending.popleft().result())
+    except BrokenProcessPool as exc:
+        raise ChildProcessError(f"a CSV formatting process died: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -329,7 +381,8 @@ def _cmd_gen(args) -> int:
 def _cmd_fit(args) -> int:
     if args.method == "quadratic" and args.d_max is not None:
         raise UsageError("--d-max applies only to --method fractal")
-    series = _read(args.series, load_series_csv)
+    raw = Path(args.series).read_bytes()  # read once: parsed, then hashed for the provenance
+    series = _read(args.series, lambda path: Series(*_read_columns(path, 2, raw)))
     knots = _resolve_knots(args, series)
     normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
 
@@ -346,7 +399,7 @@ def _cmd_fit(args) -> int:
         model = fit_quadratic(series, knots)
         flags = {"chord fallback": model.chord_fallback}
         statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
-    sha256 = hashlib.sha256(Path(args.series).read_bytes()).hexdigest()
+    sha256 = hashlib.sha256(raw).hexdigest()
     provenance = {"input_sha256": sha256, "seed": None, "tool_version": __version__}
     payload = model_to_payload(
         model, flags=flags, normalization=normalization, provenance=provenance
@@ -379,8 +432,14 @@ def _cmd_eval(args) -> int:
         xs = np.linspace(model.knots.a, model.knots.b, args.grid)
     else:
         xs = _read(args.at, lambda path: _read_columns(path, 1)[0])
-    values = model(xs) if args.depth is None else model(xs, args.depth)
-    write_series_csv(args.out, xs, values, header="x,value")
+    depth = () if args.depth is None else (args.depth,)
+    # before the file opens, the refusals no point causes (a depth over
+    # MAX_LEVELS or below 0), then any point outside the domain
+    model(xs[:0], *depth)
+    _domain_points(model.knots, xs)
+    # each slice is evaluated as it is written, so the evaluation overlaps
+    # its formatting; the values are elementwise, the same as in one call
+    _write_rows(args.out, xs, lambda rows: model(xs[rows], *depth), "x,value")
     print(f"wrote {args.out} ({xs.size} points)")
     return 0
 
@@ -489,7 +548,8 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a bare MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

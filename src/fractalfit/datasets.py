@@ -102,12 +102,15 @@ def load_series_csv(path: str | PathLike) -> Series:
     return Series(*_read_columns(path, 2))
 
 
-def _read_columns(path, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
+def _read_columns(
+    path, min_rows: int, raw: bytes | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The (z, w) columns of at least ``min_rows`` finite rows, by the rules
-    of :func:`load_series_csv` bar the order of z.  numpy's reader takes a
-    subset of the spellings of ``float()``, to the same values; the scan
-    reads what it declines and reports a row or column count out of rule."""
-    text = Path(path).read_text(encoding="utf-8")
+    of :func:`load_series_csv` bar the order of z; ``raw`` is the file's
+    bytes when the caller has read them.  numpy's reader takes a subset of
+    the spellings of ``float()``, to the same values; the scan reads what it
+    declines and reports a row or column count out of rule."""
+    text = (Path(path).read_bytes() if raw is None else raw).decode("utf-8")
     data = _fast_rows(path, text)
     if data is None or data.shape[0] < min_rows or data.shape[1] > 2:
         data = _scan_rows(path, text, min_rows)

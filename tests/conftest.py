@@ -1,3 +1,5 @@
+import multiprocessing
+
 import pytest
 
 from fractalfit import gen_polynomial, normalize, select_knots
@@ -18,6 +20,13 @@ def poly_pipeline():
     series, params = normalize(gen_polynomial(10_000))
     knots = select_knots(series, "manual", indices=[500, 4000, 7500])
     return series, knots, params
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_outlives_a_test():
+    """The pooled CSV write leaves no worker process behind, whatever the test."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

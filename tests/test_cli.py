@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -26,6 +27,7 @@ from fractalfit import (
     gen_polynomial,
     select_knots,
 )
+from fractalfit import cli
 from fractalfit.cli import (
     SCHEMA_VERSION,
     main,
@@ -157,6 +159,29 @@ class TestFit:
         report = json.loads((tmp / "report.json").read_text())
         assert report["collage_rss"] == expected.collage_rss
         assert report["collage_bound"] == expected.collage_bound
+
+    def test_series_is_read_once(self, poly_files, capsys, monkeypatch):
+        # the bytes parsed are the bytes hashed for the provenance
+        series, reads = poly_files / "poly.csv", []
+        sha = hashlib.sha256(series.read_bytes()).hexdigest()
+
+        def counted(read):
+            return lambda path, *args, **kwargs: reads.append(path) or read(path, *args, **kwargs)
+
+        for name in ("read_bytes", "read_text"):
+            monkeypatch.setattr(Path, name, counted(getattr(Path, name)))
+        assert fit_poly(poly_files, capsys)[0] == 0
+        assert reads.count(series) == 1
+        assert read_model_file(poly_files / "model.json")["provenance"]["input_sha256"] == sha
+
+    def test_non_utf8_series_is_one_error_line(self, tmp_path):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(b"1,0\n2,\xff\n3,1\n")
+        out = ["--out-model", str(tmp_path / "m.json"), "--out-report", str(tmp_path / "r.json")]
+        code, err = fail_line(["fit", "--series", str(path), "--knots", "2", *out])
+        assert_names_file_once(code, err, path)
+        assert "can't decode byte 0xff in position 6" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_quadratic_model(self, poly_files, capsys):
         tmp = poly_files
@@ -475,6 +500,142 @@ def test_series_csv_is_the_joined_rows(tmp_path):
     assert (tmp_path / "empty.csv").read_bytes() == b"z,w\n"
 
 
+def joined(x, y, header: str) -> bytes:
+    """The CSV of ``x`` and ``y`` as one serial join of every row."""
+    rows = (f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+    return "".join([header + "\n", *rows]).encode()
+
+
+# Formatters for the pooled curve write.  They live at module level, so a
+# forked worker finds them by name; each calls the real one.
+_FORMAT_ROWS = cli._format_rows
+_FORMATTED_HERE: list[int] = []  # rows per call made in the test process, not in a worker
+
+
+def _recording_format_rows(x, y):
+    _FORMATTED_HERE.append(x.size)
+    return _FORMAT_ROWS(x, y)
+
+
+def _dies_after_first_slice(x, y):  # the grids below start at 0.0
+    if x[0] != 0.0:
+        os._exit(1)
+    return _FORMAT_ROWS(x, y)
+
+
+def _runs_out_of_memory_after_first_slice(x, y):
+    if x[0] != 0.0:
+        raise MemoryError
+    return _FORMAT_ROWS(x, y)
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestPooledCurve:
+    """A curve of several slices is formatted by worker processes when two
+    CPUs are usable, in the test process with one; the bytes are the same."""
+
+    GRID = 200_003  # four slices of the CSV chunk, the last one short
+
+    @pytest.fixture(params=[2, 1], ids=["pooled", "one-cpu"])
+    def cpus(self, request, monkeypatch):
+        usable_cpus(monkeypatch, request.param)
+        monkeypatch.setattr(cli, "_format_rows", _recording_format_rows)
+        _FORMATTED_HERE.clear()
+        return request.param
+
+    def formatted_here(self, cpus: int, rows: int) -> list[int]:
+        """The format calls the test process makes for a file of ``rows`` rows."""
+        if cpus > 1:
+            return []
+        chunk = cli._CSV_CHUNK
+        return [min(chunk, rows - i) for i in range(0, rows, chunk)]
+
+    @pytest.mark.parametrize(
+        "kind, depth, at",
+        [
+            ("fractal", None, False),
+            ("fractal", 5, False),
+            ("quadratic", None, False),
+            ("fractal", None, True),
+        ],
+        ids=["fractal", "fractal-depth-5", "quadratic", "unsorted-at"],
+    )
+    def test_curve_is_the_serial_join(self, tmp_path, capsys, cpus, kind, depth, at):
+        model_path, out = tmp_path / "model.json", tmp_path / "c.csv"
+        write_json(model_path, tent_payload(kind))
+        if at:
+            xs = np.random.default_rng(13).uniform(0.0, 1.0, self.GRID)
+            (tmp_path / "at.csv").write_text("".join(f"{v!r},0\n" for v in xs.tolist()))
+            where = ["--at", str(tmp_path / "at.csv")]
+        else:
+            xs = np.linspace(0.0, 1.0, self.GRID)
+            where = ["--grid", str(self.GRID)]
+        depth_args = [] if depth is None else ["--depth", str(depth)]
+        code, _, err = run(capsys, "eval", "--model", str(model_path), *where, *depth_args, "--out", str(out))
+        assert code == 0, err
+        model = model_from_payload(read_model_file(model_path))
+        ys = model(xs) if depth is None else model(xs, depth)
+        assert out.read_bytes() == joined(xs, ys, "x,value")
+        assert _FORMATTED_HERE == self.formatted_here(cpus, self.GRID)
+
+    def test_gen_files_are_the_serial_join(self, tmp_path, capsys, cpus):
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "gen", "--kind", "polynomial", "--m", str(self.GRID), "--out", str(out))
+        assert code == 0, err
+        raw = gen_polynomial(self.GRID)
+        normalized, _ = normalize(raw)
+        assert out.read_bytes() == joined(normalized.z, normalized.w, "z,w")
+        assert (tmp_path / "p.raw.csv").read_bytes() == joined(raw.z, raw.w, "z,w")
+        assert _FORMATTED_HERE == 2 * self.formatted_here(cpus, self.GRID)
+
+    @pytest.mark.parametrize("case", ["outside-domain", "over-max-levels"])
+    def test_data_error_leaves_no_file(self, tmp_path, cpus, case):
+        model_path, out = tmp_path / "model.json", tmp_path / "c.csv"
+        if case == "outside-domain":
+            write_json(model_path, tent_payload())
+            xs = np.random.default_rng(17).uniform(0.0, 1.0, self.GRID)
+            xs[-1] = 1.5  # in the last slice
+            (tmp_path / "at.csv").write_text("".join(f"{v!r},0\n" for v in xs.tolist()))
+            where = ["--at", str(tmp_path / "at.csv")]
+        else:
+            knots = Knots.from_points([(0, 0), (0.5, 0.5), (1, 0)])
+            write_json(model_path, model_to_payload(build_model(knots, [0.9999999, 0.5])))
+            where = ["--grid", str(self.GRID)]
+        argv = ["eval", "--model", str(model_path), *where, "--out", str(out)]
+        code, err = fail_line(argv)
+        assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+        assert ("domain" if case == "outside-domain" else "--depth") in err
+        assert not out.exists()
+        # found before the file opens: a file already there is left as it was
+        out.write_text("kept\n")
+        assert fail_line(argv) == (code, err)
+        assert out.read_text() == "kept\n"
+        assert _FORMATTED_HERE == []
+
+
+@pytest.mark.parametrize(
+    "formatter",
+    [_dies_after_first_slice, _runs_out_of_memory_after_first_slice],
+    ids=["worker-exits", "worker-memory-error"],
+)
+def test_dead_worker_is_one_error_line(tmp_path, capfd, monkeypatch, formatter):
+    # a worker fails on a later slice, after the file is open: the partial
+    # curve is removed, and every worker is gone when main() returns
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_format_rows", formatter)
+    model_path, out = tmp_path / "tent.json", tmp_path / "c.csv"
+    write_json(model_path, tent_payload())
+    code = main(["eval", "--model", str(model_path), "--grid", "200003", "--out", str(out)])
+    err = capfd.readouterr().err
+    assert code == 1 and err.startswith("error: ") and err.count("\n") == 1, err
+    assert len(err) > len("error: \n"), err
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
 class TestModelFile:
     def test_round_trip_is_byte_identical(self, poly_files, capsys):
         tmp = poly_files
@@ -753,6 +914,19 @@ def test_module_entry_point_smoke(tmp_path):
     row = json.loads(result.stdout)["rows"][0]
     assert row["name"] == "polynomial"
     assert 0 < row["quadratic_rms"] < row["fractal_rms"] <= row["collage_bound"]
+
+
+def test_pool_modules_never_loaded_on_import():
+    # the pooled CSV write imports them itself; the CLI's import pays nothing for them
+    probe = (
+        "import sys, fractalfit.cli\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120, env=child_env()
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_scipy_never_loaded():
