@@ -109,7 +109,7 @@ def _collage_terms(series: Series, knots: Knots):
 
 def _collage_rss(series: Series, seg, alpha, basis, d) -> float:
     residual = series.w - (alpha - d[seg] * basis)
-    return float(residual @ residual)
+    return float(np.sum(np.square(residual, out=residual)))  # order-fixed, unlike a BLAS dot
 
 
 def fit_d_discrete(

@@ -335,17 +335,14 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
         g(x) = alpha_i(x) - d_i * (beta_i(x) - g(gamma_i(x)))
 
     into an accumulated affine transform s * b0 + offset.  A point is then
-    within |s| * B of the attractor (B as in :func:`default_depth`) and stops
-    once that is <= ``TOL``; at a given depth it stops early only at s == 0.
-    Since b0 already satisfies the endpoint conditions, every pre-fractal
-    passes through all knots exactly.
+    within |s| * B of the attractor and stops once |s| is at most the floor
+    TOL / B of :func:`_certificate`; at a given depth it stops early only at
+    s == 0.  Every pre-fractal from depth 1 on passes through all knots
+    (depth 0 is b0, which passes through the endpoint knots only).
 
     Accepts a scalar or an array; raises ValueError at NaN or outside [a, b].
     """
-    floor = 0.0
-    if depth is None:
-        depth = default_depth(model)
-        floor = _stop_floor(model) if depth else 0.0  # depth 0: B <= TOL
+    depth, floor = _certificate(model) if depth is None else (depth, 0.0)
     if depth < 0:
         raise ValueError("depth must be >= 0")
     knots, d = model.knots, model.d
@@ -375,39 +372,38 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
 
 
 def _chord_b0(knots: Knots, x):
-    """b0(x), the chord through the endpoint knots."""
+    """b0(x), the chord through the endpoint knots, anchored as beta in
+    :func:`_abg_values`: t = (x - a)/(b - a) is in [0, 1], so nothing overflows."""
     kx, ky = knots.x, knots.y
-    return ky[0] + (ky[-1] - ky[0]) * (x - kx[0]) / (kx[-1] - kx[0])
+    t = (x - kx[0]) / (kx[-1] - kx[0])
+    return ky[0] + t * (ky[-1] - ky[0])
 
 
-def _chord_gap(knots: Knots) -> float:
-    """||Phi b0 - b0||_inf: beta_i is b0 o gamma_i, so Phi b0 is the
-    polyline through the knots."""
-    return float(np.max(np.abs(knots.y - _chord_b0(knots, knots.x))))
-
-
-def _stop_floor(model: FifModel) -> float:
-    """TOL / B (B as in :func:`default_depth`), kept positive where B overflows."""
-    c, gap = model.contraction_factor, _chord_gap(model.knots)
-    bound = gap / (1.0 - c)
-    return TOL / bound if bound < np.inf else TOL * (1.0 - c) / gap
-
-
-def default_depth(model: FifModel) -> int:
-    """Levels that bring every point within ``TOL`` of the attractor g*: the
-    smallest D with c^D * B <= TOL, for c = max|d_i| and B the bound on
-    ||b0 - g*||_inf (Barnsley, Constr. Approx. 1986).  Raises ValueError
-    when D exceeds ``MAX_LEVELS``; only an explicit depth evaluates then."""
-    c, gap = model.contraction_factor, _chord_gap(model.knots)
+def _certificate(model: FifModel) -> tuple[int, float]:
+    """The depth and stop floor of default evaluation.  For c = max|d_i| and
+    gap = ||Phi b0 - b0||_inf = max_k |y_k - b0(x_k)| (beta_i is b0 o gamma_i,
+    so Phi b0 is the polyline through the knots), b0 lies within
+    B = gap / (1 - c) of the attractor g* (Barnsley, Constr. Approx. 1986).
+    D is the smallest depth with c^D * B <= TOL, taken in logs; the floor is
+    TOL * (1 - c) / gap, which is TOL / B without forming B (0 at D = 0).
+    Raises ValueError when D exceeds ``MAX_LEVELS``."""
+    knots, c = model.knots, model.contraction_factor
+    gap = float(np.max(np.abs(knots.y - _chord_b0(knots, knots.x))))
     if gap / (1.0 - c) <= TOL:
-        return 0
-    # in logs, since B may overflow although every knot is finite
+        return 0, 0.0
     with np.errstate(divide="ignore"):  # log(0) = -inf: c == 0 takes max(1, 0) = 1 level
         depth = max(1, int(np.ceil((np.log(gap) - np.log1p(-c) - np.log(TOL)) / -np.log(c))))
     if depth > MAX_LEVELS:
         raise ValueError(f"max|d_i| = {c:.10g} needs {depth} evaluation levels, "
                          f"more than {MAX_LEVELS}; pass an explicit --depth")
-    return depth
+    return depth, TOL * (1.0 - c) / gap
+
+
+def default_depth(model: FifModel) -> int:
+    """Levels that bring every point within ``TOL`` of the attractor: the
+    depth D of :func:`_certificate`.  Raises ValueError when D exceeds
+    ``MAX_LEVELS``; only an explicit depth evaluates then."""
+    return _certificate(model)[0]
 
 
 def fixed_point_residual(

@@ -298,6 +298,18 @@ class TestEval:
             row = curve[np.argmin(np.abs(curve[:, 0] - x))]
             assert row[1] == pytest.approx(y, abs=1e-12)
 
+    def test_chord_near_the_largest_double(self, tmp_path, capsys):
+        # (yN - y0) * (x - a) overflows here; the anchored chord never forms it
+        path = tmp_path / "wide.json"
+        knots = Knots.from_points([(0, -5e307), (3e5, 4e307), (1e6, 5e307)])
+        write_json(path, model_to_payload(build_model(knots, [0.5, -0.4])))
+        for depth in ((), ("--depth", "3")):
+            out = tmp_path / "curve.csv"
+            code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "6", "--out", str(out), *depth)
+            assert code == 0 and err == "", depth
+            curve = np.loadtxt(out, delimiter=",", skiprows=1)
+            assert curve.shape == (6, 2) and np.all(np.isfinite(curve)), depth
+
     def test_depth_zero_is_chord(self, tmp_path, capsys):
         path = tmp_path / "tent.json"
         write_json(path, tent_payload())
@@ -634,6 +646,25 @@ def test_dead_worker_is_one_error_line(tmp_path, capfd, monkeypatch, formatter):
     assert len(err) > len("error: \n"), err
     assert not out.exists()
     assert multiprocessing.active_children() == []
+
+
+def test_results_independent_of_blas_threads(tmp_path, capsys):
+    # sums run in a fixed order, never through a BLAS whose order follows its thread count
+    series = tmp_path / "poly.csv"
+    assert run(capsys, "gen", "--kind", "polynomial", "--m", "200003", "--out", str(series))[0] == 0
+    knots = ("--series", str(series), "--knots", "20000,100000,150000")
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in child_env().items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update({"OPENBLAS_NUM_THREADS": threads} if threads else {})
+        model, report = tmp_path / f"model{threads}.json", tmp_path / f"report{threads}.json"
+        commands = (("fit", *knots, "--out-model", str(model), "--out-report", str(report)),
+                    ("compare", *knots, "--format", "json"))
+        runs = [subprocess.run([sys.executable, "-m", "fractalfit.cli", *argv], capture_output=True,
+                               timeout=120, env=env) for argv in commands]
+        assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
+        outputs.append((model.read_bytes(), report.read_bytes(), runs[1].stdout))
+    assert outputs[0] == outputs[1]
 
 
 class TestModelFile:

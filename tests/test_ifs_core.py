@@ -17,7 +17,7 @@ from fractalfit import (
     ifs_core,
     segment_indices,
 )
-from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values
+from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values, _certificate
 
 
 def tent_model(d=(0.5, 0.5)):
@@ -40,7 +40,7 @@ def fixed_depth_reference(model, x, depth):
         acc_offset += acc_scale * (alpha - di * beta)
         acc_scale *= di
         cur = np.clip(gamma, a, b)
-    base = y0 + (yn - y0) * (cur - a) / (b - a)
+    base = y0 + (cur - a) / (b - a) * (yn - y0)
     return acc_offset + acc_scale * base
 
 
@@ -69,6 +69,21 @@ def knots_and_d(draw):
     y = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n + 1, max_size=n + 1)))
     d = np.array(draw(st.lists(st.floats(-0.95, 0.95), min_size=n, max_size=n)))
     return Knots(x, y), d
+
+
+@st.composite
+def extreme_models(draw):
+    """Valid models across the accepted range: abscissa spans from 1e-3 to
+    1e300, max|y| from 1e-3 to 1e306 (TOL is absolute), max|d_i| <= 0.9."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    span = 10.0 ** draw(st.floats(-3.0, 300.0))
+    weights = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    x = span * draw(st.floats(-1.0, 1.0)) + span * np.concatenate([[0.0], np.cumsum(weights / weights.sum())])
+    y = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n + 1, max_size=n + 1)))
+    y[draw(st.integers(0, n))] = draw(st.sampled_from([-1.0, 1.0]))
+    y *= 10.0 ** draw(st.floats(-3.0, 306.0))
+    d = draw(st.lists(st.floats(-0.9, 0.9), min_size=n, max_size=n))
+    return build_model(Knots(x, y), d)
 
 
 class TestKnots:
@@ -455,6 +470,39 @@ class TestDepthAndResidual:
             bound = np.max(np.abs(knots.y - chord)) / (1 - c)
             depth = default_depth(model)
             assert c**depth * bound <= TOL * (1 + 1e-12) < c ** (depth - 1) * bound * (1 + 1e-12)
+
+    def test_certificate_matches_the_replaced_formulas(self):
+        # against the formulas the certificate replaces: D in logs from the
+        # chord y0 + (yN - y0) * (x - a) / (b - a), and the floor TOL / B;
+        # both floor forms round twice, so they agree to two ulps
+        rng = np.random.default_rng(15)
+        for _ in range(500):
+            n = int(rng.integers(2, 10))
+            knots = random_knots(rng, n, x_span=(-50.0, 50.0), y_scale=10 ** rng.uniform(-2, 3))
+            model = build_model(knots, rng.uniform(-0.99, 0.99, n))
+            c, x, y = model.contraction_factor, knots.x, knots.y
+            gap = np.max(np.abs(y - (y[0] + (y[-1] - y[0]) * (x - x[0]) / (x[-1] - x[0]))))
+            want = max(1, int(np.ceil((np.log(gap) - np.log1p(-c) - np.log(TOL)) / -np.log(c))))
+            depth, floor = _certificate(model)
+            assert depth == want == default_depth(model)
+            gap = np.max(np.abs(y - (y[0] + (x - x[0]) / (x[-1] - x[0]) * (y[-1] - y[0]))))
+            assert floor == pytest.approx(TOL / (gap / (1 - c)), rel=2 * np.finfo(float).eps, abs=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(extreme_models())
+    def test_extreme_models_evaluate_finite(self, model):
+        knots = model.knots
+        xs = np.concatenate([knots.x, np.linspace(knots.a, knots.b, 33)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            depth = default_depth(model)
+            values = {explicit: evaluate_fif(model, xs, explicit) for explicit in (None, 0, 1, 5)}
+        for explicit, curve in values.items():
+            assert np.all(np.isfinite(curve)), explicit
+        miss = np.max(np.abs(values[None][:knots.x.size] - knots.y))
+        # from depth 1 on every knot is hit up to rounding; depth 0 (knots
+        # within TOL * (1 - c) of the chord) is b0, still within TOL
+        assert miss <= (1e-12 * np.max(np.abs(knots.y)) if depth else TOL)
 
     def test_collinear_knots_need_no_levels(self):
         model = build_model(Knots.from_points([(0, 1), (1, 2), (3, 4)]), [0.9, -0.9])

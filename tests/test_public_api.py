@@ -43,3 +43,50 @@ def test_fits_build_only_on_ifs_core():
     # both fits share one frame and one least-squares step, in ifs_core
     for module in (collage_fit, baseline_quadratic):
         assert package_imports(module) == {"ifs_core"}, module.__name__
+
+
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum"}
+
+
+def spelled_names(node) -> set[str]:
+    """The identifiers a node spells: a name, an attribute, or the dotted
+    parts of an imported module."""
+    if isinstance(node, ast.Name):
+        return {node.id}
+    if isinstance(node, ast.Attribute):
+        return {node.attr}
+    if isinstance(node, ast.alias):
+        return set(node.name.split("."))
+    if isinstance(node, ast.ImportFrom):
+        return set((node.module or "").split("."))
+    return set()
+
+
+def blas_uses(source: str) -> list[str]:
+    """Every ``@``, BLAS-backed product call and use of ``linalg`` in
+    ``source``: their summation order may follow the BLAS thread count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call) and spelled_names(node.func) & BLAS_CALLS:
+            found.append(f"line {node.lineno}: {spelled_names(node.func).pop()}()")
+        elif "linalg" in spelled_names(node):
+            found.append(f"line {node.lineno}: linalg")
+    return found
+
+
+def test_no_blas_ordered_sums():
+    # CLI artifacts are byte-identical whatever the number of usable CPUs
+    for path in sorted(Path(fractalfit.__file__).parent.glob("*.py")):
+        assert blas_uses(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_blas_guard_sees_each_form():
+    samples = ["r @ r", "r @= r", "np.dot(r, r)", "r.dot(r)", "vdot(r, r)", "np.inner(r, r)",
+               "np.matmul(r, r)", "np.tensordot(r, r, 1)", "np.einsum('i,i', r, r)",
+               "np.linalg.norm(r)", "from numpy import linalg", "from numpy.linalg import norm",
+               "import numpy.linalg"]
+    for sample in samples:
+        assert blas_uses(sample), sample
+    assert blas_uses("np.sum(np.square(r, out=r))") == []
