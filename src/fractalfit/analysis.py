@@ -17,8 +17,10 @@ __all__ = ["ComparisonRow", "rms_error", "compare"]
 class ComparisonRow:
     """One dataset's error summary.
 
-    By the collage theorem, fractal_rms <= collage_bound whenever no scaling
-    factor was clamped; eval_depth is the explicit depth, else default_depth.
+    collage_bound is the fit's discrete collage estimate (see
+    :class:`~fractalfit.collage_fit.FitReport`), not a bound: fractal_rms can
+    exceed it even with no scaling factor clamped.  eval_depth is the
+    explicit depth, else default_depth.
     """
 
     name: str

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs_core import (
-    Knots, Series, _chord, _domain_points, _frozen_array, _project, _segment_slices, segment_indices,
+    Knots, Series, _blocks, _chord, _domain_points, _frozen_array, _project, _segment_slices,
+    segment_indices,
 )
 
 __all__ = ["QuadModel", "fit_quadratic", "evaluate_quad"]
@@ -72,10 +73,15 @@ def fit_quadratic(series: Series, knots: Knots) -> QuadModel:
     (s = 0) and is flagged rather than failed.
     """
     starts, seg = _segment_slices(series, knots)
-    z, x = series.z, knots.x
-    _, chord = _chord(knots, seg, z)
-    bubble = (z - x[seg]) * (z - x[seg + 1])
-    curvature, fallback = _project(series.w - chord, bubble, starts, 0.0)
+    z, w, x = series.z, series.w, knots.x
+
+    def terms(rows):
+        zs, segs = z[rows], seg[rows]
+        _, chord = _chord(knots, segs, zs)
+        bubble = (zs - x.take(segs)) * (zs - x.take(segs + 1))
+        return np.subtract(w[rows], chord, out=chord), bubble
+
+    curvature, fallback = _project(terms, starts, z.size, 0.0)
     return QuadModel(knots=knots, curvature=curvature, chord_fallback=fallback)
 
 
@@ -88,7 +94,11 @@ def evaluate_quad(model: QuadModel, x):
     """
     knots = model.knots
     xs = _domain_points(knots, x)
-    seg = segment_indices(knots, xs)
-    _, chord = _chord(knots, seg, xs)
-    out = chord + model.curvature[seg] * (xs - knots.x[seg]) * (xs - knots.x[seg + 1])
-    return float(out[0]) if np.ndim(x) == 0 else out
+    flat, out = xs.ravel(), np.empty(xs.size)
+    for rows in _blocks(xs.size):
+        q = flat[rows]
+        seg = segment_indices(knots, q)
+        _, chord = _chord(knots, seg, q)
+        bubble = model.curvature.take(seg) * (q - knots.x.take(seg)) * (q - knots.x.take(seg + 1))
+        np.add(chord, bubble, out=out[rows])
+    return float(out[0]) if np.ndim(x) == 0 else out.reshape(xs.shape)

@@ -7,9 +7,10 @@ residual
     R(d) = sum_m (w_m - (Phi g)(z_m))^2,
 
 where g is the piecewise-constant (nearest-neighbor) extension of the data.
-By the collage theorem, the distance from the data to the attractor is at
-most the collage distance divided by (1 - contraction factor), so a small
-collage residual certifies a good fit.
+The collage theorem bounds the distance from g to the attractor by
+||g - Phi g|| / (1 - contraction factor) over all of [a, b].  R samples
+g - Phi g only at the z_m, so the same quotient of R is the paper's
+estimate of the fit's error, not a bound on it.
 
 R separates over segments, and each segment's term is an ordinary 1-D least
 squares problem in d_i with the closed-form solution
@@ -28,7 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ifs_core import Knots, Series, _abg_values, _frozen_array, _project, _segment_slices
+from .ifs_core import Knots, Series, _abg_values, _blocks, _frozen_array, _project, _segment_slices
 
 __all__ = [
     "FitReport",
@@ -51,9 +52,11 @@ class FitReport:
     ``clamped[i]`` marks segments whose closed-form d_i exceeded the allowed
     magnitude and was clamped; ``degenerate[i]`` marks segments where the
     denominator vanished (the objective is flat in d_i) and d_i was set to 0.
-    ``collage_bound`` is the discrete collage-theorem bound
-    sqrt(collage_rss / M) / (1 - contraction_factor): an a-priori ceiling on
-    the RMS distance between the data and the attractor.
+    ``collage_bound`` is the paper's discrete collage estimate
+    sqrt(collage_rss / M) / (1 - contraction_factor) of the RMS distance
+    between the data and the attractor.  It is not a bound: the collage
+    residual samples Phi g only at the data abscissae, and a segment whose
+    few interior samples the fit meets exactly adds nothing to it.
     """
 
     d: np.ndarray
@@ -100,16 +103,22 @@ def piecewise_constant_extension(series: Series) -> Callable:
 
 def _collage_terms(series: Series, knots: Knots):
     """Slice starts, segment labels, and the per-sample alpha and
-    beta - g(gamma) of the collage residual."""
+    beta - g(gamma) of the collage residual, one block at a time."""
     starts, seg = _segment_slices(series, knots)
-    alpha, beta, gamma = _abg_values(knots, seg, series.z)
-    beta -= piecewise_constant_extension(series)(gamma)
-    return starts, seg, alpha, beta
+    extension = piecewise_constant_extension(series)
+    alpha, basis = np.empty(series.m_count), np.empty(series.m_count)
+    for rows in _blocks(series.m_count):
+        alpha[rows], beta, gamma = _abg_values(knots, seg[rows], series.z[rows])
+        np.subtract(beta, extension(gamma), out=basis[rows])
+    return starts, seg, alpha, basis
 
 
 def _collage_rss(series: Series, seg, alpha, basis, d) -> float:
-    residual = series.w - (alpha - d[seg] * basis)
-    return float(np.sum(np.square(residual, out=residual)))  # order-fixed, unlike a BLAS dot
+    squares = np.empty(series.m_count)
+    for rows in _blocks(squares.size):
+        residual = series.w[rows] - (alpha[rows] - d.take(seg[rows]) * basis[rows])
+        np.square(residual, out=squares[rows])
+    return float(np.sum(squares))  # order-fixed, unlike a BLAS dot
 
 
 def fit_d_discrete(
@@ -128,7 +137,7 @@ def fit_d_discrete(
     starts, seg, alpha, basis = _collage_terms(series, knots)
     w = series.w
     eps_den = 1e-12 * series.m_count * (np.max(np.abs(w)) + np.max(np.abs(knots.y))) ** 2
-    d, degenerate = _project(alpha - w, basis, starts, eps_den)
+    d, degenerate = _project(lambda r: (alpha[r] - w[r], basis[r]), starts, w.size, eps_den)
     clamped = np.abs(d) > d_max
     d[clamped] = np.sign(d[clamped]) * d_max
 

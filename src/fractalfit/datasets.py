@@ -209,7 +209,7 @@ def _prominent_peaks(s: np.ndarray, prominence: float) -> tuple[np.ndarray, np.n
     end of ``s``) to the first strictly higher sample is higher than the
     peak, or a higher peak would lie in between.  So a base minimum is the
     lowest of the gaps between neighbouring peaks out to that nearest higher
-    peak, and one monotone stack per side carries those gap minima along.
+    peak, which :func:`_base_minima` finds on each side.
     """
     starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
     ends = np.append(starts[1:], s.size) - 1
@@ -229,15 +229,28 @@ def _prominent_peaks(s: np.ndarray, prominence: float) -> tuple[np.ndarray, np.n
 def _base_minima(heights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     """For each peak k, the lowest of ``gaps[j + 1 .. k]``, where j is the
     nearest earlier peak strictly higher than peak k (all of ``gaps[:k + 1]``
-    if there is none)."""
-    base = np.empty(heights.size)
-    stack: list[tuple[float, float]] = []  # (height, base) of the peaks not yet topped
-    for k, (height, low) in enumerate(zip(heights.tolist(), gaps.tolist())):
-        while stack and stack[-1][0] <= height:
-            low = min(low, stack.pop()[1])
-        base[k] = low
-        stack.append((height, low))
-    return base
+    if there is none).  Doubling tables make both O(n log n): lifting over
+    range maxima of ``heights`` finds j + 1, and the two power-of-two blocks
+    that cover j + 1 .. k give the minimum, exactly (only min and max)."""
+    peak = np.arange(heights.size)
+    highest, lowest = _doubling(heights, np.maximum), _doubling(gaps, np.minimum)
+    start = peak.copy()
+    for level in reversed(range(len(highest))):
+        below = start - (1 << level)  # peaks below[k] .. start[k] - 1, if none is higher
+        step = (below >= 0) & (highest[level].take(np.maximum(below, 0)) <= heights)
+        start = np.where(step, below, start)
+    level = np.frexp(peak - start + 1)[1] - 1  # floor(log2(length)) of j + 1 .. k
+    return np.minimum(lowest[level, start], lowest[level, peak + 1 - (1 << level)])
+
+
+def _doubling(values: np.ndarray, op) -> np.ndarray:
+    """``table[p, i]`` = ``op`` over ``values[i : i + 2**p]``, the window cut
+    short at the end of ``values``, for every p with 2**p <= len(values)."""
+    table = [values]
+    for level in range(1, values.size.bit_length()):
+        half, prev = 1 << (level - 1), table[-1]
+        table.append(np.concatenate([op(prev[:-half], prev[half:]), prev[-half:]]))
+    return np.array(table)
 
 
 def select_knots(

@@ -45,7 +45,7 @@ __all__ = [
 
 TOL = 1e-9  # distance to the attractor at which default evaluation stops a point
 MAX_LEVELS = 10_000  # most levels default_depth allows before refusing a model
-_CHUNK = 1 << 14  # points per chunk: its working arrays (128 KiB each) stay in cache
+_CHUNK = 1 << 14  # samples per block of a per-sample pass: its arrays (128 KiB each) stay in cache
 
 
 def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
@@ -181,13 +181,27 @@ def _segment_slices(series: Series, knots: Knots):
     return starts, seg
 
 
-def _project(residual, basis, starts, floor: float):
+def _blocks(size: int) -> list[slice]:
+    """Slices of ``_CHUNK`` consecutive indices (the last may be shorter)
+    that cover range(size) in order.  A per-sample pass run one slice at a
+    time keeps its temporaries in cache and writes each result once."""
+    return [slice(start, start + _CHUNK) for start in range(0, size, _CHUNK)]
+
+
+def _project(terms, starts, size: int, floor: float):
     """The one-parameter least squares both fits solve on each slice
-    ``starts[i]:starts[i + 1]`` (see :func:`_segment_slices`): returns p, with
-    p_i = sum(residual * basis) / sum(basis^2), and ``flat``, the segments with
-    sum(basis^2) <= ``floor`` (at a ``floor`` of 0, exactly 0), where p_i = 0."""
-    numerator = np.add.reduceat(residual * basis, starts)
-    denominator = np.add.reduceat(basis * basis, starts)
+    ``starts[i]:starts[i + 1]`` of ``size`` samples (see :func:`_segment_slices`):
+    returns p, with p_i = sum(residual * basis) / sum(basis^2), and ``flat``, the
+    segments with sum(basis^2) <= ``floor`` (at a ``floor`` of 0, exactly 0), where
+    p_i = 0.  ``terms(rows)`` gives residual and basis on each slice ``rows`` of
+    :func:`_blocks`; each sum is still one ``np.add.reduceat`` over all samples."""
+    products = np.empty((2, size))
+    for rows in _blocks(size):
+        residual, basis = terms(rows)
+        np.multiply(residual, basis, out=products[0, rows])
+        np.multiply(basis, basis, out=products[1, rows])
+    numerator = np.add.reduceat(products[0], starts)
+    denominator = np.add.reduceat(products[1], starts)
     flat = denominator <= floor
     return np.divide(numerator, denominator, out=np.zeros(starts.size), where=~flat), flat
 
@@ -340,6 +354,10 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
     s == 0.  Every pre-fractal from depth 1 on passes through all knots
     (depth 0 is b0, which passes through the endpoint knots only).
 
+    A stopped point keeps its slot, marked by a NaN s, which no later
+    ``<= floor`` test passes, until half of its block has stopped; then one
+    ``take`` compacts the block's working arrays.
+
     Accepts a scalar or an array; raises ValueError at NaN or outside [a, b].
     """
     depth, floor = _certificate(model) if depth is None else (depth, 0.0)
@@ -348,11 +366,12 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
     knots, d = model.knots, model.d
     xs = _domain_points(knots, x)
     flat, out = xs.ravel(), np.empty(xs.size)
-    for start in range(0, xs.size, _CHUNK):  # chunks keep the working arrays small
-        live = np.arange(start, min(start + _CHUNK, xs.size))
-        cur, offset, scale = flat[live], np.zeros(live.size), np.ones(live.size)
+    for rows in _blocks(xs.size):
+        values, cur = out[rows], flat[rows]
+        slot, offset, scale = np.arange(cur.size), np.zeros(cur.size), np.ones(cur.size)
+        stopped = 0
         for _ in range(depth):
-            if not live.size:
+            if not slot.size:
                 break
             seg = segment_indices(knots, cur)
             alpha, beta, gamma = _abg_values(knots, seg, cur)
@@ -363,11 +382,18 @@ def evaluate_fif(model: FifModel, x, depth: int | None = None):
             # gamma is exact at segment endpoints but may drift out by one ulp
             # strictly inside; clamp so the next level's lookup stays in domain.
             cur = np.clip(gamma, knots.x[0], knots.x[-1], out=gamma)
-            done = np.abs(scale) <= floor
-            if done.any():
-                out[live[done]] = offset[done] + scale[done] * _chord_b0(knots, cur[done])
-                live, cur, offset, scale = (v[~done] for v in (live, cur, offset, scale))
-        out[live] = offset + scale * _chord_b0(knots, cur)
+            done = np.flatnonzero(np.abs(scale) <= floor)
+            if done.size:
+                leaf = _chord_b0(knots, cur.take(done))
+                values[slot.take(done)] = offset.take(done) + scale.take(done) * leaf
+                scale[done] = np.nan
+                stopped += done.size
+                if 2 * stopped >= slot.size:
+                    keep = np.flatnonzero(scale == scale)
+                    slot, cur, offset, scale = (v.take(keep) for v in (slot, cur, offset, scale))
+                    stopped = 0
+        live = scale == scale
+        values[slot[live]] = (offset + scale * _chord_b0(knots, cur))[live]
     return float(out[0]) if np.ndim(x) == 0 else out.reshape(xs.shape)
 
 

@@ -104,6 +104,17 @@ def test_collage_bound_holds_on_unclamped_fits():
     assert held >= 10
 
 
+def test_collage_bound_is_an_estimate():
+    # each segment holds one interior sample, which the fit meets exactly,
+    # so the discrete collage residual is 0 while the attractor misses
+    series, _ = normalize(gen_random_walk(6, 5))
+    knots = select_knots(series, "manual", indices=[3, 5])
+    assert not fit_d_discrete(series, knots).clamped.any()
+    row = compare(series, knots)
+    assert row.collage_bound == 0.0
+    assert f"{row.fractal_rms:.8f}" == "0.01406832"
+
+
 def test_quintic_benchmark_row(poly_pipeline):
     series, knots, _ = poly_pipeline
     row = compare(series, knots, name="polynomial")

@@ -18,7 +18,7 @@ from fractalfit import (
     normalize,
     select_knots,
 )
-from fractalfit.datasets import _moving_average, _prominent_peaks
+from fractalfit.datasets import _base_minima, _moving_average, _prominent_peaks
 
 
 def quintic(x):
@@ -605,3 +605,24 @@ class TestProminentPeaks:
             smoothed = _moving_average(series.w, window)
             for sign in (1.0, -1.0):
                 self.assert_matches(find_peaks, sign * smoothed, 0.01)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(-4, 0)), max_size=70))
+    def test_base_minima_match_stack_loop(self, pairs):
+        # few distinct heights make ties common, where "strictly higher" counts
+        heights, gaps = np.array(pairs, dtype=float).reshape(-1, 2).T
+        want = base_minima_reference(heights, gaps)
+        assert _base_minima(heights, gaps).tobytes() == want.tobytes()
+
+
+def base_minima_reference(heights, gaps):
+    """``_base_minima`` as the monotone-stack loop: each stacked peak carries
+    the lowest gap since the last peak higher than it."""
+    base = np.empty(heights.size)
+    stack = []  # (height, base) of the peaks not yet topped
+    for k, (height, low) in enumerate(zip(heights.tolist(), gaps.tolist())):
+        while stack and stack[-1][0] <= height:
+            low = min(low, stack.pop()[1])
+        base[k] = low
+        stack.append((height, low))
+    return base

@@ -10,14 +10,18 @@ from fractalfit import (
     Knots,
     Series,
     build_model,
+    collage_residual,
     default_depth,
     evaluate_fif,
+    evaluate_quad,
+    fit_d_discrete,
+    fit_quadratic,
     fixed_point_residual,
     hutchinson_apply,
     ifs_core,
     segment_indices,
 )
-from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values, _certificate
+from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values, _certificate, _chord_b0
 
 
 def tent_model(d=(0.5, 0.5)):
@@ -42,6 +46,29 @@ def fixed_depth_reference(model, x, depth):
         cur = np.clip(gamma, a, b)
     base = y0 + (cur - a) / (b - a) * (yn - y0)
     return acc_offset + acc_scale * base
+
+
+def compacting_reference(model, x):
+    """Default-depth values by the loop that drops the points that stop
+    from its working arrays at every level, over all points at once."""
+    depth, floor = _certificate(model)
+    knots = model.knots
+    out, live = np.empty(x.size), np.arange(x.size)
+    cur, offset, scale = x.copy(), np.zeros(x.size), np.ones(x.size)
+    for _ in range(depth):
+        if not live.size:
+            break
+        seg = segment_indices(knots, cur)
+        alpha, beta, gamma = _abg_values(knots, seg, cur)
+        di = model.d[seg]
+        offset += scale * (alpha - di * beta)
+        scale *= di
+        cur = np.clip(gamma, knots.x[0], knots.x[-1])
+        done = np.abs(scale) <= floor
+        out[live[done]] = offset[done] + scale[done] * _chord_b0(knots, cur[done])
+        live, cur, offset, scale = (v[~done] for v in (live, cur, offset, scale))
+    out[live] = offset + scale * _chord_b0(knots, cur)
+    return out
 
 
 def apply_maps(model, x, y):
@@ -441,6 +468,21 @@ class TestEvaluate:
                 assert np.array_equal(got, want), (case, depth)
                 assert np.array_equal(np.signbit(got), np.signbit(want)), (case, depth)
 
+    @pytest.mark.parametrize("chunk", [ifs_core._CHUNK, 64])
+    def test_lazy_stops_match_compacting_loop(self, monkeypatch, chunk):
+        # a rough model (one d = 0.95) stops its points over hundreds of
+        # levels; keeping stopped points in their slots until half of a
+        # block has stopped leaves every value bit for bit, sign bits included
+        monkeypatch.setattr(ifs_core, "_CHUNK", chunk)
+        rng = np.random.default_rng(16)
+        d = rng.uniform(-0.6, 0.6, 16)
+        d[5] = 0.95
+        model = build_model(random_knots(rng, 16, x_span=(0.0, 1e4)), d)
+        xs = np.linspace(model.knots.a, model.knots.b, 2 * ifs_core._CHUNK + 4_321)
+        got, want = evaluate_fif(model, xs), compacting_reference(model, xs)
+        assert default_depth(model) > 100
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("c", [0.7, 0.8, 0.9, 0.95, 0.99])
     def test_default_converges_for_large_contraction(self, c):
         # the attractor to TOL, past the 0.65 where a depth of 48 falls short
@@ -451,6 +493,40 @@ class TestEvaluate:
         deep = fixed_depth_reference(model, xs, int(np.log(1e-14) / np.log(c)) + 600)
         assert np.max(np.abs(evaluate_fif(model, xs) - deep)) <= TOL + 1e-11
         np.testing.assert_allclose(evaluate_fif(model, knots.x), knots.y, rtol=0, atol=1e-12)
+
+
+class TestBlocks:
+    """Blocks change where the per-sample passes keep their temporaries,
+    never the arithmetic or the order of a sum."""
+
+    @staticmethod
+    def outputs(series, knots, xs):
+        report = fit_d_discrete(series, knots)
+        quad = fit_quadratic(series, knots)
+        model = build_model(knots, report.d)
+        return [
+            report.d, report.clamped, report.degenerate, report.collage_rss, report.collage_bound,
+            collage_residual(series, knots, report.d), quad.curvature, quad.chord_fallback,
+            evaluate_quad(quad, xs), evaluate_fif(model, xs),
+            *(evaluate_fif(model, xs, depth) for depth in (0, 1, 7)),
+        ]
+
+    @pytest.mark.parametrize("m_count", [127, 128, 129, 1000])
+    @pytest.mark.parametrize("even", [True, False])
+    def test_block_size_moves_no_bit(self, monkeypatch, m_count, even):
+        rng = np.random.default_rng(m_count + even)
+        z = np.arange(1.0, m_count + 1) if even else np.cumsum(rng.uniform(0.5, 1.5, m_count))
+        w = np.cumsum(rng.standard_normal(m_count))
+        inner = rng.choice(np.arange(1, m_count - 1), 6, replace=False)
+        full = np.sort(np.concatenate([[0, m_count - 1], inner]))
+        series, knots = Series(z, w), Knots(z[full], w[full])
+        xs = np.concatenate([z, np.linspace(z[0], z[-1], 301)])
+        want = self.outputs(series, knots, xs)
+        for chunk in (5, 64):
+            monkeypatch.setattr(ifs_core, "_CHUNK", chunk)  # read at call time
+            assert ifs_core._blocks(m_count)[:2] == [slice(0, chunk), slice(chunk, 2 * chunk)]
+            got = self.outputs(series, knots, xs)
+            assert [np.asarray(v).tobytes() for v in got] == [np.asarray(v).tobytes() for v in want]
 
 
 class TestDepthAndResidual:
