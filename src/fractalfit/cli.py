@@ -1,11 +1,11 @@
 """Command-line interface: reproducible generate / fit / eval / compare runs.
 
 All artifacts are plain files: series and curves as CSV, models and reports
-as JSON.  Model files carry a schema version, the knots and parameters, the
-normalization constants (when known), and provenance (input hash, seed, tool
-version) sufficient to re-run the producing command.  Every command is
-deterministic given its flags and inputs; floats are serialized via repr, so
-equal runs give byte-identical files.
+as JSON.  Model files carry a schema version, the knots, one parameter per
+segment and the segment flags, the normalization constants (when known),
+and provenance: the SHA-256 of the input series and the tool version.
+Every command is deterministic given its flags and inputs; floats are
+serialized via repr, so equal runs give byte-identical files.
 
 Exit codes: 0 success, 1 data, numeric or allocation error, 2 usage error.
 """
@@ -40,7 +40,7 @@ from .datasets import (
 )
 from .ifs_core import FifModel, Knots, Series, _domain_points, build_model
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 __all__ = [
     "main",
@@ -149,50 +149,29 @@ def _write_pooled(out, x, values, slices, workers: int) -> None:
 @dataclass(frozen=True)
 class _Kind:
     """What a model file of one kind holds beyond the shared knots and
-    domain: one parameter ``field`` with ``shape`` per segment (``noun``
-    names its entries), and per-segment boolean ``flags``.  ``takes_depth``:
-    whether evaluation accepts a pre-fractal depth.  ``parameters`` reads
-    the field's array off a model; ``build`` makes the model from knots,
-    that array and the flags."""
+    domain: the model attribute ``field``, one number per segment, and
+    per-segment boolean ``flags``.  ``takes_depth``: whether evaluation
+    accepts a pre-fractal depth.  ``build`` makes the model from knots, the
+    field's array and the flags."""
 
     model: type
     field: str
-    shape: tuple[int, ...]
-    noun: str
     flags: tuple[str, ...]
     takes_depth: bool
-    parameters: Callable
     build: Callable
 
 
 #: The model kinds, by the ``kind`` a model file names.
 _KINDS = {
     "fractal": _Kind(
-        FifModel, "d", (), "finite numbers", ("clamped", "degenerate"),
-        takes_depth=True,
-        parameters=lambda model: model.d,
+        FifModel, "d", ("clamped", "degenerate"), takes_depth=True,
         build=lambda knots, d, flags: build_model(knots, d),
     ),
     "quadratic": _Kind(
-        QuadModel, "coefficients", (3,), "finite [k, r, l] rows", ("chord_fallback",),
-        takes_depth=False,
-        parameters=lambda model: model.coeffs,
-        build=lambda knots, coeffs, flags: _quad_model(knots, coeffs, flags["chord_fallback"]),
+        QuadModel, "curvature", ("chord_fallback",), takes_depth=False,
+        build=lambda knots, s, flags: QuadModel(knots, s, flags["chord_fallback"]),
     ),
 }
-
-
-def _quad_model(knots: Knots, coeffs: np.ndarray, chord_fallback) -> QuadModel:
-    """The quadratic model of curvatures ``coeffs[:, 0]``, whose every
-    ``[k, r, l]`` row must match its own within a relative 1e-9: r and l
-    follow from k and the knots, so a file cannot contradict its curve."""
-    model = QuadModel(knots, coeffs[:, 0], chord_fallback)
-    if not np.allclose(coeffs, model.coeffs, rtol=1e-9, atol=0.0):
-        raise ValueError(
-            "model field 'parameters.coefficients' must be the [k, r, l] rows of "
-            "quadratics through the knots"
-        )
-    return model
 
 
 def model_to_payload(
@@ -210,7 +189,7 @@ def model_to_payload(
     knots = model.knots
     flags = flags or {}
     default = [False] * knots.n_segments
-    parameters = {spec.field: spec.parameters(model).tolist()}
+    parameters = {spec.field: getattr(model, spec.field).tolist()}
     for name in spec.flags:
         parameters[name] = [bool(v) for v in getattr(model, name, flags.get(name, default))]
     return {
@@ -221,7 +200,7 @@ def model_to_payload(
         "parameters": parameters,
         "normalization": None if normalization is None else asdict(normalization),
         "provenance": provenance
-        or {"input_sha256": None, "seed": None, "tool_version": __version__},
+        or {"input_sha256": None, "tool_version": __version__},
     }
 
 
@@ -229,13 +208,16 @@ def _array_field(
     field: str, value, shape: tuple[int, ...], expected: str, kinds: str = "iuf"
 ) -> np.ndarray:
     """``value`` as a finite float array of exactly ``shape`` whose entries
-    are of the numpy ``kinds`` (default numbers; ``"b"``: JSON booleans); a
-    one-line ValueError naming the field otherwise."""
+    are of the numpy ``kinds`` (default numbers, not booleans; ``"b"``: JSON
+    booleans); a one-line ValueError naming the field otherwise."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nested lists
         arr = np.array(None)
-    if arr.dtype.kind not in kinds or arr.shape != shape or not np.isfinite(arr).all():
+    if arr.dtype.kind not in kinds or arr.shape != shape or not np.isfinite(arr).all() or (
+        # numpy reads a JSON boolean among numbers as a number
+        arr.dtype.kind != "b" and bool in map(type, np.array(value, dtype=object).flat)
+    ):
         raise ValueError(f"model field {field!r} must be {expected}")
     return arr.astype(float)
 
@@ -243,17 +225,18 @@ def _array_field(
 def read_model_file(path) -> dict:
     """Load and validate a model payload: the schema version and kind must be
     known, every field that ``model_from_payload`` reads present, numeric and
-    finite, the kind's parameter field one entry per segment, each of its
+    finite, the kind's parameter field one number per segment, each of its
     flags that is present a list of one JSON boolean per segment, and the
-    domain the span of the knots.  The knots themselves, and the quadratic
-    coefficients against them, are checked when the model is built."""
+    domain the span of the knots.  The knots themselves are checked when the
+    model is built.  Version "1" files are read as well: their quadratic
+    files hold [k, r, l] rows, which are not read, so they lack ``curvature``."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version not in ("1", SCHEMA_VERSION):
         raise ValueError(
-            f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION!r})"
+            f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION!r} or '1')"
         )
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
@@ -271,7 +254,7 @@ def read_model_file(path) -> dict:
     domain = _array_field("domain", payload["domain"], (2,), "a finite pair [a, b]")
     n = n_knots - 1
     field = f"parameters.{spec.field}"
-    _array_field(field, params[spec.field], (n, *spec.shape), f"a list of {n} {spec.noun}")
+    _array_field(field, params[spec.field], (n,), f"a list of {n} finite numbers")
     for name in spec.flags:
         if name in params:
             expected = f"a list of {n} booleans"
@@ -400,7 +383,7 @@ def _cmd_fit(args) -> int:
         flags = {"chord fallback": model.chord_fallback}
         statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
     sha256 = hashlib.sha256(raw).hexdigest()
-    provenance = {"input_sha256": sha256, "seed": None, "tool_version": __version__}
+    provenance = {"input_sha256": sha256, "tool_version": __version__}
     payload = model_to_payload(
         model, flags=flags, normalization=normalization, provenance=provenance
     )

@@ -193,11 +193,10 @@ class TestFit:
         series = load_series_csv(tmp / "poly.csv")
         knots = select_knots(series, "manual", indices=[100, 200, 300])
         expected = fit_quadratic(series, knots)
-        got = [triple[0] for triple in payload["parameters"]["coefficients"]]
-        np.testing.assert_allclose(got, expected.curvature, rtol=0, atol=0)
-        # the written [k, r, l] rows pass the coefficient check on loading
-        model = model_from_payload(payload)
-        np.testing.assert_array_equal(model.coeffs, expected.coeffs)
+        assert payload["parameters"]["curvature"] == expected.curvature.tolist()
+        report = json.loads((tmp / "report.json").read_text())
+        assert report["curvature"] == payload["parameters"]["curvature"]
+        assert "coefficients" not in report
 
     def test_norm_params_embedded(self, poly_files, capsys):
         tmp = poly_files
@@ -426,14 +425,14 @@ class TestEval:
         assert "schema version" in err
 
     @pytest.mark.parametrize(
-        "field", ["knots", "domain", "parameters", "parameters.d", "parameters.coefficients"]
+        "field", ["knots", "domain", "parameters", "parameters.d", "parameters.curvature"]
     )
     def test_missing_model_field_is_data_error(self, tmp_path, capsys, field):
         payload = tent_payload()
         if field == "parameters.d":
             del payload["parameters"]["d"]
-        elif field == "parameters.coefficients":
-            payload["kind"] = "quadratic"  # a fractal payload has no coefficients
+        elif field == "parameters.curvature":
+            payload["kind"] = "quadratic"  # a fractal payload has no curvature
         else:
             del payload[field]
         path = tmp_path / "partial.json"
@@ -459,7 +458,7 @@ class TestEval:
             ("domain", [0, 0.5, 1]),
             ("parameters.d", [[0.5], [0.5]]),
             ("parameters.d", None),
-            ("parameters.coefficients", [1, 2]),
+            ("parameters.curvature", [0.5, "x"]),
             ("parameters.chord_fallback", [1, 2, 3]),
             ("parameters.chord_fallback", [True, False, "x"]),
             ("parameters.chord_fallback", [1, 0]),
@@ -467,15 +466,16 @@ class TestEval:
             ("parameters.clamped", ["x", 7]),
             ("parameters.degenerate", [False, False, False]),
             ("parameters.d", [0.5, 0.5, 0.5]),
-            ("parameters.coefficients", [[0.0, 1.0, 0.0]]),
-            ("parameters.coefficients", [[0.0, 999.0, 0.0], [0.0, -1.0, 1.0]]),
+            ("parameters.curvature", [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
+            # numpy would read a JSON boolean among numbers as 0 or 1
+            ("parameters.d", [False, 0.5]),
+            ("knots", [[0, 0], [0.5, 0.5], [True, 0]]),
+            ("domain", [False, 1]),
         ],
     )
     def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
-        payload = tent_payload()
-        if field in ("parameters.coefficients", "parameters.chord_fallback"):
-            payload["kind"] = "quadratic"
-            payload["parameters"]["coefficients"] = [[0.0, 1.0, 0.0], [0.0, -1.0, 1.0]]
+        quadratic = field in ("parameters.curvature", "parameters.chord_fallback")
+        payload = tent_payload("quadratic" if quadratic else "fractal")
         if field.startswith("parameters."):
             payload["parameters"][field.split(".", 1)[1]] = value
         else:
@@ -684,6 +684,43 @@ class TestModelFile:
         np.testing.assert_allclose(model.d, payload["parameters"]["d"], rtol=0, atol=0)
         assert model.knots.x[0] == payload["domain"][0]
 
+    def test_schema_1_files(self, tmp_path, capsys):
+        # schema "1": a fractal file shaped like the ones perfbench writes
+        # evaluates as its schema-"2" twin; a quadratic file holds [k, r, l]
+        # rows, which are not read, so it lacks the curvature
+        def schema_1(payload):
+            return {**payload, "schema_version": "1", "provenance": {**payload["provenance"], "seed": None}}
+
+        curves = []
+        for i, payload in enumerate([tent_payload(), schema_1(tent_payload())]):
+            path, out = tmp_path / f"m{i}.json", tmp_path / f"c{i}.csv"
+            write_json(path, payload)
+            assert run(capsys, "eval", "--model", str(path), "--grid", "101", "--out", str(out))[0] == 0
+            curves.append(out.read_bytes())
+        assert curves[0] == curves[1]
+
+        quad = schema_1(tent_payload("quadratic"))
+        quad["parameters"]["coefficients"] = model_from_payload(quad).coeffs.tolist()
+        del quad["parameters"]["curvature"]
+        path, out = tmp_path / "quad1.json", tmp_path / "q.csv"
+        write_json(path, quad)
+        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(out))
+        assert code == 1
+        assert err == f"error: {path}: missing model field 'parameters.curvature'\n"
+        assert not out.exists()
+
+    def test_quadratic_far_from_unit_scale(self, tmp_path, capsys):
+        # the [k, r, l] rows of this model overflow, its curvatures do not
+        x = 1e10 + np.array([0.0, 100.0, 200.0, 300.0, 399.0])
+        knots = Knots(x, 1e300 * np.array([0.5, -0.3, 0.8, 0.1, -0.6]))
+        model = QuadModel(knots, 1e296 * np.array([1.0, -2.0, 0.5, 3.0]), [False] * 4)
+        path, out = tmp_path / "far.json", tmp_path / "c.csv"
+        write_json(path, model_to_payload(model))
+        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(out))
+        assert code == 0, err
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (5, 2) and np.isfinite(rows).all()
+
     def test_rejects_unknown_kind(self, tmp_path):
         payload = {"schema_version": SCHEMA_VERSION, "kind": "spline"}
         path = tmp_path / "m.json"
@@ -855,7 +892,7 @@ def malformed_series_csv(draw):
 def malformed_model_json(draw):
     payload = tent_payload(draw(st.sampled_from(["fractal", "quadratic"])))
     params = payload["parameters"]
-    field = "d" if "d" in params else "coefficients"
+    field = "d" if "d" in params else "curvature"
     flag = draw(st.sampled_from(sorted(set(params) - {field})))
     arrays = [(payload, "knots"), (payload, "domain"), (params, field)]
     fault = draw(st.sampled_from(["delete", "retype", "resize", "nan", "syntax"]))
