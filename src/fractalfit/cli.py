@@ -1,11 +1,12 @@
 """Command-line interface: reproducible generate / fit / eval / compare runs.
 
 All artifacts are plain files: series and curves as CSV, models and reports
-as JSON.  Model files carry a schema version, the knots, one parameter per
-segment and the segment flags, the normalization constants (when known),
-and provenance: the SHA-256 of the input series and the tool version.
-Every command is deterministic given its flags and inputs; floats are
-serialized via repr, so equal runs give byte-identical files.
+as JSON.  Model files carry a schema version, the knots, exactly the model's
+own per-segment parameters, the normalization constants (when known), and
+provenance: the SHA-256 of the input series and the tool version.  Every
+command is deterministic given its flags and inputs; floats are serialized
+via repr, so equal runs give byte-identical files, and a number that is not
+finite is an error, never a JSON ``Infinity`` or ``NaN``.
 
 Exit codes: 0 success, 1 data, numeric or allocation error, 2 usage error.
 """
@@ -20,7 +21,6 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .datasets import (
 )
 from .ifs_core import FifModel, Knots, Series, _domain_points, build_model
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 __all__ = [
     "main",
@@ -74,7 +74,7 @@ def _read(path, parse):
 # serialization helpers
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json(path, payload) -> None:
@@ -148,68 +148,48 @@ def _write_pooled(out, x, values, slices, workers: int) -> None:
 
 @dataclass(frozen=True)
 class _Kind:
-    """What a model file of one kind holds beyond the shared knots and
-    domain: the model attribute ``field``, one number per segment, and
-    per-segment boolean ``flags``.  ``takes_depth``: whether evaluation
-    accepts a pre-fractal depth.  ``build`` makes the model from knots, the
-    field's array and the flags."""
+    """What a model file of one kind holds beyond the shared knots: the
+    model attributes ``field``, one number per segment, and ``flags``, one
+    boolean per segment each.  The model is ``model(knots, field, *flags)``.
+    ``takes_depth``: whether evaluation accepts a pre-fractal depth."""
 
     model: type
     field: str
     flags: tuple[str, ...]
     takes_depth: bool
-    build: Callable
 
 
 #: The model kinds, by the ``kind`` a model file names.
 _KINDS = {
-    "fractal": _Kind(
-        FifModel, "d", ("clamped", "degenerate"), takes_depth=True,
-        build=lambda knots, d, flags: build_model(knots, d),
-    ),
-    "quadratic": _Kind(
-        QuadModel, "curvature", ("chord_fallback",), takes_depth=False,
-        build=lambda knots, s, flags: QuadModel(knots, s, flags["chord_fallback"]),
-    ),
+    "fractal": _Kind(FifModel, "d", (), takes_depth=True),
+    "quadratic": _Kind(QuadModel, "curvature", ("chord_fallback",), takes_depth=False),
 }
 
 
 def model_to_payload(
     model: FifModel | QuadModel,
     *,
-    flags: dict | None = None,
     normalization: NormalizationParams | None = None,
     provenance: dict | None = None,
 ) -> dict:
-    """JSON-ready dict for a fitted model (see module docstring for layout).
-    A flag the model carries (``chord_fallback``) is read off the model, the
-    others (``clamped``, ``degenerate``) from ``flags``; absent ones are all
-    False."""
+    """JSON-ready dict for a fitted model (see module docstring for layout);
+    every parameter is read off the model."""
     kind, spec = next((k, s) for k, s in _KINDS.items() if isinstance(model, s.model))
-    knots = model.knots
-    flags = flags or {}
-    default = [False] * knots.n_segments
-    parameters = {spec.field: getattr(model, spec.field).tolist()}
-    for name in spec.flags:
-        parameters[name] = [bool(v) for v in getattr(model, name, flags.get(name, default))]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
-        "domain": [knots.a, knots.b],
-        "knots": [[float(x), float(y)] for x, y in zip(knots.x, knots.y)],
-        "parameters": parameters,
+        "knots": [[float(x), float(y)] for x, y in zip(model.knots.x, model.knots.y)],
+        "parameters": {name: getattr(model, name).tolist() for name in (spec.field, *spec.flags)},
         "normalization": None if normalization is None else asdict(normalization),
-        "provenance": provenance
-        or {"input_sha256": None, "tool_version": __version__},
+        "provenance": provenance or {"input_sha256": None, "tool_version": __version__},
     }
 
 
-def _array_field(
-    field: str, value, shape: tuple[int, ...], expected: str, kinds: str = "iuf"
-) -> np.ndarray:
-    """``value`` as a finite float array of exactly ``shape`` whose entries
-    are of the numpy ``kinds`` (default numbers, not booleans; ``"b"``: JSON
-    booleans); a one-line ValueError naming the field otherwise."""
+def _array_field(field: str, value, shape: tuple[int, ...], expected: str,
+                 kinds: str = "iuf") -> None:
+    """Check that ``value`` is a finite array of exactly ``shape`` whose
+    entries are of the numpy ``kinds`` (default numbers, not booleans;
+    ``"b"``: JSON booleans); a one-line ValueError naming the field if not."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nested lists
@@ -219,29 +199,29 @@ def _array_field(
         arr.dtype.kind != "b" and bool in map(type, np.array(value, dtype=object).flat)
     ):
         raise ValueError(f"model field {field!r} must be {expected}")
-    return arr.astype(float)
 
 
 def read_model_file(path) -> dict:
     """Load and validate a model payload: the schema version and kind must be
     known, every field that ``model_from_payload`` reads present, numeric and
-    finite, the kind's parameter field one number per segment, each of its
-    flags that is present a list of one JSON boolean per segment, and the
-    domain the span of the knots.  The knots themselves are checked when the
-    model is built.  Version "1" files are read as well: their quadratic
-    files hold [k, r, l] rows, which are not read, so they lack ``curvature``."""
+    finite, the kind's parameter field one number per segment, and each of
+    its flags that is present a list of one JSON boolean per segment.  The
+    knots themselves are checked when the model is built.  Version "1" and
+    "2" files are read as well; their ``domain`` and fractal ``clamped`` and
+    ``degenerate`` lists are not read, and version "1" quadratic files hold
+    [k, r, l] rows, which are not read either, so they lack ``curvature``."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
     version = payload.get("schema_version")
-    if version not in ("1", SCHEMA_VERSION):
+    if version not in ("1", "2", SCHEMA_VERSION):
         raise ValueError(
-            f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION!r} or '1')"
+            f"unsupported model schema version {version!r} (expected {SCHEMA_VERSION!r}, '2' or '1')"
         )
     kind = payload.get("kind")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    for key in ("domain", "knots", "parameters"):
+    for key in ("knots", "parameters"):
         if key not in payload:
             raise ValueError(f"missing model field {key!r}")
     spec = _KINDS[kind]
@@ -250,8 +230,7 @@ def read_model_file(path) -> dict:
         raise ValueError(f"missing model field 'parameters.{spec.field}'")
     points = payload["knots"]
     n_knots = len(points) if isinstance(points, list) else 0
-    knots = _array_field("knots", points, (n_knots, 2), "a list of finite [x, y] pairs")
-    domain = _array_field("domain", payload["domain"], (2,), "a finite pair [a, b]")
+    _array_field("knots", points, (n_knots, 2), "a list of finite [x, y] pairs")
     n = n_knots - 1
     field = f"parameters.{spec.field}"
     _array_field(field, params[spec.field], (n,), f"a list of {n} finite numbers")
@@ -259,11 +238,6 @@ def read_model_file(path) -> dict:
         if name in params:
             expected = f"a list of {n} booleans"
             _array_field(f"parameters.{name}", params[name], (n,), expected, kinds="b")
-    span = knots[[0, -1], 0].tolist()
-    if domain.tolist() != span:
-        raise ValueError(
-            f"model field 'domain' {domain.tolist()} differs from the knot span {span}"
-        )
     return payload
 
 
@@ -271,8 +245,8 @@ def model_from_payload(payload) -> FifModel | QuadModel:
     spec = _KINDS[payload["kind"]]
     knots = Knots.from_points(payload["knots"])
     params = payload["parameters"]
-    flags = {name: params.get(name, [False] * knots.n_segments) for name in spec.flags}
-    return spec.build(knots, np.asarray(params[spec.field], dtype=float), flags)
+    flags = [params.get(name, [False] * knots.n_segments) for name in spec.flags]
+    return spec.model(knots, params[spec.field], *flags)
 
 
 def _parse_normalization(path) -> NormalizationParams:
@@ -372,7 +346,7 @@ def _cmd_fit(args) -> int:
     if args.method == "fractal":
         report = fit_d_discrete(series, knots, D_MAX_DEFAULT if args.d_max is None else args.d_max)
         model = build_model(knots, report.d)
-        flags = {"clamped": report.clamped, "degenerate": report.degenerate}
+        flags = {"clamped": report.clamped.tolist(), "degenerate": report.degenerate.tolist()}
         statistics = {
             "collage_rss": report.collage_rss,
             "contraction_factor": report.contraction_factor,
@@ -380,20 +354,21 @@ def _cmd_fit(args) -> int:
         }
     else:
         model = fit_quadratic(series, knots)
-        flags = {"chord fallback": model.chord_fallback}
-        statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
-    sha256 = hashlib.sha256(raw).hexdigest()
-    provenance = {"input_sha256": sha256, "tool_version": __version__}
-    payload = model_to_payload(
-        model, flags=flags, normalization=normalization, provenance=provenance
-    )
-    report_payload = {"kind": payload["kind"], **payload["parameters"], **statistics}
-    flagged = [
-        f"segment {i}: {kind}" for kind, mask in flags.items() for i in np.nonzero(mask)[0]
-    ]
+        flags = {"chord_fallback": model.chord_fallback.tolist()}
+        with np.errstate(over="ignore"):
+            statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
+    if bad := [f"{name} = {value}" for name, value in statistics.items() if not np.isfinite(value)]:
+        raise ValueError(f"{bad[0]} is not finite")
+    provenance = {"input_sha256": hashlib.sha256(raw).hexdigest(), "tool_version": __version__}
+    payload = model_to_payload(model, normalization=normalization, provenance=provenance)
+    report_payload = {"kind": payload["kind"], **payload["parameters"], **flags, **statistics}
+    flagged = [f"segment {i}: {name.replace('_', ' ')}"
+               for name, mask in flags.items() for i in np.flatnonzero(mask)]
 
-    write_json(args.out_model, payload)
-    write_json(args.out_report, report_payload)
+    # both rendered before either is written: a number JSON cannot hold leaves no file
+    texts = [_json_text(payload), _json_text(report_payload)]
+    for path, text in zip((args.out_model, args.out_report), texts):
+        Path(path).write_text(text, encoding="utf-8")
     print(f"wrote {args.out_model}, {args.out_report}")
     if flagged and args.strict:
         print("strict mode: fit raised flags -> " + "; ".join(flagged), file=sys.stderr)
@@ -502,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     evaluate = commands.add_parser("eval", help="evaluate a model file to a curve CSV")
     evaluate.add_argument("--model", required=True, help="model JSON from fit")
-    evaluate.add_argument("--grid", type=int, help="uniform grid resolution over the domain")
+    evaluate.add_argument("--grid", type=int, help="uniform grid resolution over the knot span")
     evaluate.add_argument("--at", help="CSV of query points in any order (first column, or 1..M)")
     evaluate.add_argument("--depth", type=int, help=depth_help)
     evaluate.add_argument("--out", required=True, help="output curve CSV")

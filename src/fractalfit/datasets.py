@@ -200,30 +200,40 @@ def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 
 
-def _prominent_peaks(s: np.ndarray, prominence: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and prominences, in index order, of the maxima of ``s`` with
-    at least ``prominence``, as ``select_knots`` defines both.
+def _prominent_peaks(s: np.ndarray, prominence: float,
+                     signs: tuple[float, ...] = (1.0,)) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the maxima of ``sign * s`` with at least
+    ``prominence``, as ``select_knots`` defines both, in index order for
+    each of ``signs`` in turn: ``(1.0, -1.0)`` gives maxima, then minima.
 
     A peak is a run of equal samples higher than the runs either side.  On
     each side, every sample from the nearest strictly higher peak (or the
     end of ``s``) to the first strictly higher sample is higher than the
     peak, or a higher peak would lie in between.  So a base minimum is the
     lowest of the gaps between neighbouring peaks out to that nearest higher
-    peak, which :func:`_base_minima` finds on each side.
+    peak, which :func:`_base_minima` finds on each side.  Peaks and troughs
+    alternate with monotone runs between them, so each gap is the lowest of
+    the turning and end runs it spans, and the signs share one decomposition.
     """
     starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-    ends = np.append(starts[1:], s.size) - 1
     runs = s[starts]
     rise = np.diff(runs) > 0
-    top = np.flatnonzero(rise[:-1] & ~rise[1:]) + 1
-    heights = runs[top]
-    # gaps[k] is the lowest run before peak k (back to peak k - 1); gaps[-1] follows the last
-    gaps = np.minimum.reduceat(runs, np.append(0, top))
-    left = _base_minima(heights, gaps[:-1])
-    right = _base_minima(heights[::-1], gaps[:0:-1])[::-1]
-    prominences = heights - np.maximum(left, right)
-    keep = prominences >= prominence
-    return ((starts[top] + ends[top]) // 2)[keep], prominences[keep]
+    turn = np.flatnonzero(rise[:-1] != rise[1:]) + 1
+    middles = (starts[turn] + starts[turn + 1] - 1) // 2
+    # the first run, the turning runs and the last run, up and down in turn
+    zigzag = runs[np.concatenate([[0], turn, [runs.size - 1]])]
+    found = []
+    for sign in signs:
+        top = np.flatnonzero(rise[turn - 1] == (sign > 0))  # the peaks of sign * s
+        heights = sign * zigzag[top + 1]
+        # gaps[k] is the lowest value before peak k (back to peak k - 1); gaps[-1] follows the last
+        gaps = np.minimum.reduceat(sign * zigzag, np.append(0, top + 1))
+        left = _base_minima(heights, gaps[:-1])
+        right = _base_minima(heights[::-1], gaps[:0:-1])[::-1]
+        prominences = heights - np.maximum(left, right)
+        keep = prominences >= prominence
+        found.append((middles[top][keep], prominences[keep]))
+    return tuple(map(np.concatenate, zip(*found)))
 
 
 def _base_minima(heights: np.ndarray, gaps: np.ndarray) -> np.ndarray:
@@ -302,8 +312,7 @@ def select_knots(
         if window < 1 or window % 2 == 0:
             raise ValueError("smoothing window must be a positive odd integer")
         smoothed = _moving_average(series.w, window)
-        found = [_prominent_peaks(sign * smoothed, prominence) for sign in (1.0, -1.0)]
-        peaks, proms = map(np.concatenate, zip(*found))
+        peaks, proms = _prominent_peaks(smoothed, prominence, (1.0, -1.0))
         if peaks.size == 0 or (n_interior >= 2 and peaks.size < 2):
             raise ValueError(
                 f"found only {peaks.size} interior extrema with prominence >= "

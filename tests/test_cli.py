@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fractalfit import (
     Knots,
+    NormalizationParams,
     QuadModel,
     build_model,
     compare,
@@ -71,6 +72,15 @@ def tent_payload(kind="fractal") -> dict:
     if kind == "fractal":
         return model_to_payload(build_model(knots, [0.5, 0.5]))
     return model_to_payload(QuadModel(knots, [0.5, -0.5], [False, False]))
+
+
+def far_series(tmp_path) -> Path:
+    """A series whose squared residuals overflow: abscissae 1e10 + m,
+    ordinates about 1e300."""
+    m = np.arange(1.0, 401.0)
+    path = tmp_path / "far.csv"
+    write_series_csv(path, 1e10 + m, 1e300 * np.sin(m / 7.0))
+    return path
 
 
 class TestGen:
@@ -152,13 +162,17 @@ class TestFit:
         assert payload["kind"] == "fractal"
         assert payload["schema_version"] == SCHEMA_VERSION
         np.testing.assert_allclose(payload["parameters"]["d"], expected.d, rtol=0, atol=0)
-        assert payload["domain"] == [1.0, 400.0]
+        assert sorted(payload["parameters"]) == ["d"] and "domain" not in payload
+        assert [payload["knots"][0][0], payload["knots"][-1][0]] == [1.0, 400.0]
         sha = hashlib.sha256((tmp / "poly.csv").read_bytes()).hexdigest()
         assert payload["provenance"]["input_sha256"] == sha
 
         report = json.loads((tmp / "report.json").read_text())
         assert report["collage_rss"] == expected.collage_rss
         assert report["collage_bound"] == expected.collage_bound
+        # the fit's flags stay in the report, though the model file drops them
+        assert report["clamped"] == expected.clamped.tolist()
+        assert report["degenerate"] == expected.degenerate.tolist()
 
     def test_series_is_read_once(self, poly_files, capsys, monkeypatch):
         # the bytes parsed are the bytes hashed for the provenance
@@ -217,6 +231,22 @@ class TestFit:
         code, _, err = fit_poly(poly_files, capsys, "--norm-params", str(params))
         assert_names_file_once(code, err, params)
         assert not (poly_files / "model.json").exists()
+
+    @pytest.mark.parametrize(
+        "method, statistic",
+        [
+            ("quadratic", "residual_rss"),
+            # the fractal fit's own sums overflow too, with warnings
+            pytest.param("fractal", "collage_rss", marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+        ],
+    )
+    def test_non_finite_statistic_writes_nothing(self, tmp_path, capsys, method, statistic):
+        # the models' parameters are finite, their sums of squares are not
+        model, report = tmp_path / "m.json", tmp_path / "r.json"
+        code, _, err = run(capsys, "fit", "--series", str(far_series(tmp_path)), "--knots", "100,200,300",
+                           "--method", method, "--out-model", str(model), "--out-report", str(report))
+        assert code == 1 and err == f"error: {statistic} = inf is not finite\n"
+        assert not model.exists() and not report.exists()
 
     def test_strict_flags_exit_one(self, poly_files, capsys):
         tmp = poly_files
@@ -425,7 +455,7 @@ class TestEval:
         assert "schema version" in err
 
     @pytest.mark.parametrize(
-        "field", ["knots", "domain", "parameters", "parameters.d", "parameters.curvature"]
+        "field", ["knots", "parameters", "parameters.d", "parameters.curvature"]
     )
     def test_missing_model_field_is_data_error(self, tmp_path, capsys, field):
         payload = tent_payload()
@@ -454,8 +484,8 @@ class TestEval:
             ("knots", 5),
             ("knots", [[0, 0], [1]]),
             ("knots", [[0, "a"], [0.5, 0.5], [1, 0]]),
-            ("domain", "ab"),
-            ("domain", [0, 0.5, 1]),
+            ("knots", "ab"),
+            ("knots", [0, 0.5, 1]),
             ("parameters.d", [[0.5], [0.5]]),
             ("parameters.d", None),
             ("parameters.curvature", [0.5, "x"]),
@@ -463,14 +493,13 @@ class TestEval:
             ("parameters.chord_fallback", [True, False, "x"]),
             ("parameters.chord_fallback", [1, 0]),
             ("parameters.chord_fallback", [True]),
-            ("parameters.clamped", ["x", 7]),
-            ("parameters.degenerate", [False, False, False]),
+            ("parameters.chord_fallback", ["x", 7]),
+            ("parameters.chord_fallback", [False, False, False]),
             ("parameters.d", [0.5, 0.5, 0.5]),
             ("parameters.curvature", [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
             # numpy would read a JSON boolean among numbers as 0 or 1
             ("parameters.d", [False, 0.5]),
             ("knots", [[0, 0], [0.5, 0.5], [True, 0]]),
-            ("domain", [False, 1]),
         ],
     )
     def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
@@ -486,17 +515,6 @@ class TestEval:
         assert code == 1
         assert err.startswith(f"error: {path}: model field '{field}' must be ")
         assert err.count("\n") == 1
-
-    def test_domain_must_be_knot_span(self, tmp_path, capsys):
-        payload = tent_payload()
-        payload["domain"] = [0.0, 2.0]
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(payload))
-        code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
-        assert code == 1
-        assert err == (
-            f"error: {path}: model field 'domain' [0.0, 2.0] differs from the knot span [0.0, 1.0]\n"
-        )
 
 
 def test_series_csv_is_the_joined_rows(tmp_path):
@@ -682,24 +700,58 @@ class TestModelFile:
         payload = read_model_file(tmp / "model.json")
         model = model_from_payload(payload)
         np.testing.assert_allclose(model.d, payload["parameters"]["d"], rtol=0, atol=0)
-        assert model.knots.x[0] == payload["domain"][0]
+        assert [model.knots.a, model.knots.b] == [payload["knots"][0][0], payload["knots"][-1][0]]
+        assert "domain" not in payload
+
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            ((), None),
+            (("--d-max", "0.001"), "clamped"),
+            (("--method", "quadratic"), None),
+            (("--method", "quadratic", "--knots", "100,101,300"), "chord_fallback"),
+        ],
+        ids=["fractal", "clamped", "quadratic", "chord-fallback"],
+    )
+    def test_fit_file_is_its_model(self, poly_files, capsys, extra, flag):
+        # the model read back from a file writes that file's payload again,
+        # also where the fit raised flags
+        tmp = poly_files
+        assert fit_poly(tmp, capsys, "--norm-params", str(tmp / "poly.params.json"), *extra)[0] == 0
+        if flag:
+            assert any(json.loads((tmp / "report.json").read_text())[flag])
+        payload = read_model_file(tmp / "model.json")
+        normalization = NormalizationParams(**payload["normalization"])
+        again = model_to_payload(
+            model_from_payload(payload), normalization=normalization, provenance=payload["provenance"]
+        )
+        assert again == payload
 
     def test_schema_1_files(self, tmp_path, capsys):
-        # schema "1": a fractal file shaped like the ones perfbench writes
-        # evaluates as its schema-"2" twin; a quadratic file holds [k, r, l]
-        # rows, which are not read, so it lacks the curvature
-        def schema_1(payload):
-            return {**payload, "schema_version": "1", "provenance": {**payload["provenance"], "seed": None}}
+        # schema "1" and "2" fractal files, shaped like the one perfbench
+        # writes, carry a domain and the fit's flags, which are not read: they
+        # evaluate as their schema-"3" twin; a schema-"1" quadratic file holds
+        # [k, r, l] rows, which are not read, so it lacks the curvature
+        def legacy(payload, version):
+            params = {**payload["parameters"]}
+            if "d" in params:
+                params.update(clamped=[True, False], degenerate=[False, True])
+            provenance = {**payload["provenance"], **({"seed": None} if version == "1" else {})}
+            return {**payload, "schema_version": version, "domain": [0.0, 1.0],
+                    "parameters": params, "provenance": provenance}
 
-        curves = []
-        for i, payload in enumerate([tent_payload(), schema_1(tent_payload())]):
-            path, out = tmp_path / f"m{i}.json", tmp_path / f"c{i}.csv"
-            write_json(path, payload)
-            assert run(capsys, "eval", "--model", str(path), "--grid", "101", "--out", str(out))[0] == 0
-            curves.append(out.read_bytes())
-        assert curves[0] == curves[1]
+        payloads = [tent_payload(), legacy(tent_payload(), "1"), legacy(tent_payload(), "2")]
+        for depth in ((), ("--depth", "4")):
+            curves = []
+            for i, payload in enumerate(payloads):
+                path, out = tmp_path / f"m{i}.json", tmp_path / f"c{i}.csv"
+                write_json(path, payload)
+                argv = ("eval", "--model", str(path), "--grid", "101", "--out", str(out), *depth)
+                assert run(capsys, *argv)[0] == 0
+                curves.append(out.read_bytes())
+            assert curves[0] == curves[1] == curves[2]
 
-        quad = schema_1(tent_payload("quadratic"))
+        quad = legacy(tent_payload("quadratic"), "1")
         quad["parameters"]["coefficients"] = model_from_payload(quad).coeffs.tolist()
         del quad["parameters"]["curvature"]
         path, out = tmp_path / "quad1.json", tmp_path / "q.csv"
@@ -757,6 +809,15 @@ class TestCompare:
         )
         assert code == 0
         assert stdout == out.read_text()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sums of squares overflow
+    def test_json_holds_only_finite_numbers(self, tmp_path, capsys):
+        argv = ("compare", "--series", str(far_series(tmp_path)), "--knots", "100,200,300")
+        code, stdout, err = run(capsys, *argv, "--format", "json")
+        assert code == 1 and stdout == "", stdout
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and stdout.splitlines()[1].split()[:4] == ["far", "inf", "inf", "inf"]
 
     def test_stdout_deterministic(self, poly_files, capsys):
         tmp = poly_files
@@ -845,7 +906,7 @@ def test_bad_input_file_is_named_once(tmp_path, name, text, command):
 
 def _tent_with_knots(points) -> str:
     payload = json.loads(_TENT)
-    payload["knots"], payload["domain"] = points, [points[0][0], points[-1][0]]
+    payload["knots"] = points
     return json.dumps(payload)
 
 
@@ -893,8 +954,8 @@ def malformed_model_json(draw):
     payload = tent_payload(draw(st.sampled_from(["fractal", "quadratic"])))
     params = payload["parameters"]
     field = "d" if "d" in params else "curvature"
-    flag = draw(st.sampled_from(sorted(set(params) - {field})))
-    arrays = [(payload, "knots"), (payload, "domain"), (params, field)]
+    flags = [(params, name) for name in sorted(set(params) - {field})]
+    arrays = [(payload, "knots"), (params, field)]
     fault = draw(st.sampled_from(["delete", "retype", "resize", "nan", "syntax"]))
     if fault == "delete":
         where, key = draw(st.sampled_from(
@@ -903,11 +964,11 @@ def malformed_model_json(draw):
         del where[key]
     elif fault == "retype":
         where, key = draw(st.sampled_from(
-            [(payload, "schema_version"), (payload, "kind"), (params, flag), *arrays]
+            [(payload, "schema_version"), (payload, "kind"), *flags, *arrays]
         ))
         where[key] = draw(_JUNK)
     elif fault == "resize":
-        where, key = draw(st.sampled_from([(params, flag), *arrays]))
+        where, key = draw(st.sampled_from([*flags, *arrays]))
         where[key] = where[key][:-1] if draw(st.booleans()) else where[key] + where[key][-1:]
     elif fault == "nan":
         where, key = draw(st.sampled_from(arrays))

@@ -614,6 +614,44 @@ class TestProminentPeaks:
         want = base_minima_reference(heights, gaps)
         assert _base_minima(heights, gaps).tobytes() == want.tobytes()
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.integers(-2, 2), min_size=1, max_size=40),
+        walk=st.booleans(),
+        prominence=st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.5]),
+    )
+    def test_both_signs_match_two_passes(self, steps, walk, prominence):
+        values = (np.cumsum(steps) if walk else np.asarray(steps)).astype(float)
+        self.assert_matches_two_passes(values, prominence)
+
+    def test_both_signs_match_two_passes_on_a_smoothed_walk(self):
+        series, _ = normalize(gen_random_walk(20_000, 4))
+        self.assert_matches_two_passes(_moving_average(series.w, 21), 0.01)
+
+    @staticmethod
+    def assert_matches_two_passes(values, prominence):
+        found = [two_pass_peaks_reference(sign * values, prominence) for sign in (1.0, -1.0)]
+        got = _prominent_peaks(values, prominence, (1.0, -1.0))
+        for have, want in zip(got, map(np.concatenate, zip(*found))):
+            assert have.dtype == want.dtype and have.tobytes() == want.tobytes()
+
+
+def two_pass_peaks_reference(s, prominence):
+    """``_prominent_peaks(s, prominence)`` on its own run decomposition of
+    ``s``, with each gap the lowest of all the runs it spans."""
+    starts = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
+    ends = np.append(starts[1:], s.size) - 1
+    runs = s[starts]
+    rise = np.diff(runs) > 0
+    top = np.flatnonzero(rise[:-1] & ~rise[1:]) + 1
+    heights = runs[top]
+    gaps = np.minimum.reduceat(runs, np.append(0, top))
+    left = _base_minima(heights, gaps[:-1])
+    right = _base_minima(heights[::-1], gaps[:0:-1])[::-1]
+    prominences = heights - np.maximum(left, right)
+    keep = prominences >= prominence
+    return ((starts[top] + ends[top]) // 2)[keep], prominences[keep]
+
 
 def base_minima_reference(heights, gaps):
     """``_base_minima`` as the monotone-stack loop: each stacked peak carries
