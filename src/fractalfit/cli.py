@@ -19,13 +19,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .analysis import ComparisonRow, compare
+from .analysis import compare
 from .baseline_quadratic import QuadModel, fit_quadratic
 from .collage_fit import D_MAX_DEFAULT, fit_d_discrete
 from .datasets import (
@@ -75,6 +75,13 @@ def _read(path, parse):
 
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _check_finite(values: dict) -> None:
+    """A one-line ValueError naming the first float of ``values`` that is not
+    finite, a number no JSON artifact can hold."""
+    if bad := [f"{k} = {v}" for k, v in values.items() if isinstance(v, float) and not np.isfinite(v)]:
+        raise ValueError(f"{bad[0]} is not finite")
 
 
 def write_json(path, payload) -> None:
@@ -146,24 +153,10 @@ def _write_pooled(out, x, values, slices, workers: int) -> None:
         raise ChildProcessError(f"a CSV formatting process died: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class _Kind:
-    """What a model file of one kind holds beyond the shared knots: the
-    model attributes ``field``, one number per segment, and ``flags``, one
-    boolean per segment each.  The model is ``model(knots, field, *flags)``.
-    ``takes_depth``: whether evaluation accepts a pre-fractal depth."""
-
-    model: type
-    field: str
-    flags: tuple[str, ...]
-    takes_depth: bool
-
-
-#: The model kinds, by the ``kind`` a model file names.
-_KINDS = {
-    "fractal": _Kind(FifModel, "d", (), takes_depth=True),
-    "quadratic": _Kind(QuadModel, "curvature", ("chord_fallback",), takes_depth=False),
-}
+#: The model classes, by the ``kind`` a model file names.  A file's
+#: parameters are the class's fields after ``knots``: the first one number
+#: per segment, each other one boolean per segment.
+_KINDS = {"fractal": FifModel, "quadratic": QuadModel}
 
 
 def model_to_payload(
@@ -174,12 +167,12 @@ def model_to_payload(
 ) -> dict:
     """JSON-ready dict for a fitted model (see module docstring for layout);
     every parameter is read off the model."""
-    kind, spec = next((k, s) for k, s in _KINDS.items() if isinstance(model, s.model))
+    kind = next(k for k, cls in _KINDS.items() if isinstance(model, cls))
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "knots": [[float(x), float(y)] for x, y in zip(model.knots.x, model.knots.y)],
-        "parameters": {name: getattr(model, name).tolist() for name in (spec.field, *spec.flags)},
+        "parameters": {f.name: getattr(model, f.name).tolist() for f in fields(model)[1:]},
         "normalization": None if normalization is None else asdict(normalization),
         "provenance": provenance or {"input_sha256": None, "tool_version": __version__},
     }
@@ -204,8 +197,8 @@ def _array_field(field: str, value, shape: tuple[int, ...], expected: str,
 def read_model_file(path) -> dict:
     """Load and validate a model payload: the schema version and kind must be
     known, every field that ``model_from_payload`` reads present, numeric and
-    finite, the kind's parameter field one number per segment, and each of
-    its flags that is present a list of one JSON boolean per segment.  The
+    finite, the kind's first parameter one number per segment, and each
+    other one that is present a list of one JSON boolean per segment.  The
     knots themselves are checked when the model is built.  Version "1" and
     "2" files are read as well; their ``domain`` and fractal ``clamped`` and
     ``degenerate`` lists are not read, and version "1" quadratic files hold
@@ -224,17 +217,16 @@ def read_model_file(path) -> dict:
     for key in ("knots", "parameters"):
         if key not in payload:
             raise ValueError(f"missing model field {key!r}")
-    spec = _KINDS[kind]
+    field, *flags = (f.name for f in fields(_KINDS[kind])[1:])
     params = payload["parameters"]
-    if not isinstance(params, dict) or spec.field not in params:
-        raise ValueError(f"missing model field 'parameters.{spec.field}'")
+    if not isinstance(params, dict) or field not in params:
+        raise ValueError(f"missing model field 'parameters.{field}'")
     points = payload["knots"]
     n_knots = len(points) if isinstance(points, list) else 0
     _array_field("knots", points, (n_knots, 2), "a list of finite [x, y] pairs")
     n = n_knots - 1
-    field = f"parameters.{spec.field}"
-    _array_field(field, params[spec.field], (n,), f"a list of {n} finite numbers")
-    for name in spec.flags:
+    _array_field(f"parameters.{field}", params[field], (n,), f"a list of {n} finite numbers")
+    for name in flags:
         if name in params:
             expected = f"a list of {n} booleans"
             _array_field(f"parameters.{name}", params[name], (n,), expected, kinds="b")
@@ -242,11 +234,11 @@ def read_model_file(path) -> dict:
 
 
 def model_from_payload(payload) -> FifModel | QuadModel:
-    spec = _KINDS[payload["kind"]]
+    model_class = _KINDS[payload["kind"]]
+    field, *flags = (f.name for f in fields(model_class)[1:])
     knots = Knots.from_points(payload["knots"])
     params = payload["parameters"]
-    flags = [params.get(name, [False] * knots.n_segments) for name in spec.flags]
-    return spec.model(knots, params[spec.field], *flags)
+    return model_class(knots, params[field], *(params.get(name, [False] * knots.n_segments) for name in flags))
 
 
 def _parse_normalization(path) -> NormalizationParams:
@@ -282,7 +274,8 @@ def _extrema_options(args) -> dict:
     return {name: value for name in ("n", "window", "prominence") if (value := getattr(args, name)) is not None}
 
 
-def _resolve_knots(args, series: Series) -> Knots:
+def _knot_selection(args) -> dict:
+    """``select_knots``' keyword arguments, from the knot flags alone."""
     if args.knots_mode == "manual":
         if not args.knots:
             raise UsageError("manual knot mode requires --knots with interior indices")
@@ -292,13 +285,13 @@ def _resolve_knots(args, series: Series) -> Knots:
             indices = [int(tok) for tok in args.knots.split(",") if tok.strip()]
         except ValueError:
             raise UsageError(f"--knots must be comma-separated integers, got {args.knots!r}")
-        return select_knots(series, "manual", indices=indices)
+        return {"mode": "manual", "indices": indices}
     if args.knots:
         raise UsageError("--knots conflicts with --knots-mode extrema")
     options = _extrema_options(args)
     if "n" not in options:
         raise UsageError("extrema knot mode requires --n")
-    return select_knots(series, "extrema", n_interior=options.pop("n"), **options)
+    return {"mode": "extrema", "n_interior": options.pop("n"), **options}
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +331,10 @@ def _cmd_gen(args) -> int:
 def _cmd_fit(args) -> int:
     if args.method == "quadratic" and args.d_max is not None:
         raise UsageError("--d-max applies only to --method fractal")
+    selection = _knot_selection(args)
     raw = Path(args.series).read_bytes()  # read once: parsed, then hashed for the provenance
     series = _read(args.series, lambda path: Series(*_read_columns(path, 2, raw)))
-    knots = _resolve_knots(args, series)
+    knots = select_knots(series, **selection)
     normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
 
     if args.method == "fractal":
@@ -357,8 +351,7 @@ def _cmd_fit(args) -> int:
         flags = {"chord_fallback": model.chord_fallback.tolist()}
         with np.errstate(over="ignore"):
             statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
-    if bad := [f"{name} = {value}" for name, value in statistics.items() if not np.isfinite(value)]:
-        raise ValueError(f"{bad[0]} is not finite")
+    _check_finite(statistics)
     provenance = {"input_sha256": hashlib.sha256(raw).hexdigest(), "tool_version": __version__}
     payload = model_to_payload(model, normalization=normalization, provenance=provenance)
     report_payload = {"kind": payload["kind"], **payload["parameters"], **flags, **statistics}
@@ -382,7 +375,7 @@ def _cmd_eval(args) -> int:
     if args.grid is not None and args.grid < 2:
         raise UsageError("--grid must be >= 2")
     payload = _read(args.model, read_model_file)
-    if args.depth is not None and not _KINDS[payload["kind"]].takes_depth:
+    if args.depth is not None and _KINDS[payload["kind"]] is not FifModel:
         raise UsageError("--depth applies only to fractal models")
     # building checks the knots and the parameter values, so their errors name the file too
     model = _read(args.model, lambda _: model_from_payload(payload))
@@ -402,11 +395,11 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _render_text(rows: list[ComparisonRow]) -> str:
+def _render_text(rows: list[dict]) -> str:
     header = ("dataset", "fractal_rms", "quadratic_rms", "collage_bound", "contraction", "depth")
     table = [header]
     for row in rows:
-        name, *numbers, depth = asdict(row).values()
+        name, *numbers, depth = row.values()
         table.append((name, *(f"{v:.7g}" for v in numbers), str(depth)))
     widths = [max(len(entry[col]) for entry in table) for col in range(len(header))]
     return "\n".join(
@@ -428,16 +421,19 @@ def _cmd_compare(args) -> int:
     else:
         if not args.series:
             raise UsageError("compare requires --series or --all-examples")
+        selection = _knot_selection(args)
         series = _read(args.series, load_series_csv)
-        knots = _resolve_knots(args, series)
+        knots = select_knots(series, **selection)
         name = Path(args.series).stem
     d_max = D_MAX_DEFAULT if args.d_max is None else args.d_max
-    rows = [compare(series, knots, name=name, depth=args.depth, d_max=d_max)]
-    payload = {"rows": [asdict(row) for row in rows]}
+    row = asdict(compare(series, knots, name=name, depth=args.depth, d_max=d_max))
+    payload = {"rows": [row]}
+    if args.format == "json" or args.out:
+        _check_finite(row)
     if args.format == "json":
         print(_json_text(payload), end="")
     else:
-        print(_render_text(rows))
+        print(_render_text(payload["rows"]))
     if args.out:
         write_json(args.out, payload)
     return 0

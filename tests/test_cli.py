@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -727,6 +728,15 @@ class TestModelFile:
         )
         assert again == payload
 
+    @pytest.mark.parametrize("method", ["fractal", "quadratic"])
+    def test_parameters_are_the_model_fields(self, poly_files, capsys, method):
+        # a file's parameters are its model class's fields after the knots
+        assert fit_poly(poly_files, capsys, "--method", method)[0] == 0
+        model = model_from_payload(read_model_file(poly_files / "model.json"))
+        names = [f.name for f in dataclasses.fields(type(model))]
+        assert names[0] == "knots"
+        assert list(model_to_payload(model)["parameters"]) == names[1:]
+
     def test_schema_1_files(self, tmp_path, capsys):
         # schema "1" and "2" fractal files, shaped like the one perfbench
         # writes, carry a domain and the fit's flags, which are not read: they
@@ -813,9 +823,12 @@ class TestCompare:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the sums of squares overflow
     def test_json_holds_only_finite_numbers(self, tmp_path, capsys):
         argv = ("compare", "--series", str(far_series(tmp_path)), "--knots", "100,200,300")
-        code, stdout, err = run(capsys, *argv, "--format", "json")
-        assert code == 1 and stdout == "", stdout
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        out = tmp_path / "cmp.json"
+        for extra in (("--format", "json"), ("--out", str(out))):
+            code, stdout, err = run(capsys, *argv, *extra)
+            assert code == 1 and stdout == "", stdout
+            assert err == "error: fractal_rms = inf is not finite\n", err
+            assert not out.exists()
         code, stdout, _ = run(capsys, *argv)
         assert code == 0 and stdout.splitlines()[1].split()[:4] == ["far", "inf", "inf", "inf"]
 
@@ -845,6 +858,23 @@ class TestCompare:
         assert run(capsys, "compare", "--all-examples", "--window", "5", "--prominence", "0.5")[0] == 2
         assert run(capsys, "compare", "--all-examples", "--window", "5")[0] == 2
         assert run(capsys, "compare", "--all-examples", "--prominence", "0.5")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("fit", "--series", "nope.csv", "--out-model", "m.json", "--out-report", "r.json"),
+         "manual knot mode requires --knots with interior indices"),
+        (("compare", "--series", "nope.csv", "--knots-mode", "extrema"),
+         "extrema knot mode requires --n"),
+        (("compare", "--series", "nope.csv", "--knots", "1,2", "--window", "5"),
+         "--window applies only to --knots-mode extrema"),
+    ],
+    ids=["fit-manual", "compare-extrema", "compare-window"],
+)
+def test_knot_flags_checked_before_series_is_read(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, *argv) == (2, "", f"usage error: {message}\n")
 
 
 def fail_line(argv) -> tuple[int, str]:
@@ -966,7 +996,8 @@ def malformed_model_json(draw):
         where, key = draw(st.sampled_from(
             [(payload, "schema_version"), (payload, "kind"), *flags, *arrays]
         ))
-        where[key] = draw(_JUNK)
+        # a readable version ("2" is one) would make a well-formed file
+        where[key] = draw(_JUNK.filter(lambda v: key != "schema_version" or v not in ("1", "2", SCHEMA_VERSION)))
     elif fault == "resize":
         where, key = draw(st.sampled_from([*flags, *arrays]))
         where[key] = where[key][:-1] if draw(st.booleans()) else where[key] + where[key][-1:]

@@ -90,3 +90,86 @@ def test_blas_guard_sees_each_form():
     for sample in samples:
         assert blas_uses(sample), sample
     assert blas_uses("np.sum(np.square(r, out=r))") == []
+
+
+def used_names(tree) -> set[str]:
+    """The names ``tree`` reads: bare names and attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def unused_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each name that a module of ``sources`` (module
+    name: source) imports but never uses itself, and each private
+    module-level function, class or constant it defines that no module of
+    ``sources`` uses.  ``__future__`` imports, ``__all__`` names and
+    ``__init__``'s re-exports are exempt."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    used = set().union(*map(used_names, trees.values()))
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None) for t in node.targets]:
+                used.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+    found = []
+    for module, tree in trees.items():
+        if module != "__init__":
+            imported = [(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                        if isinstance(node, ast.Import) or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                        for alias in node.names]
+            found += [f"{module}: {name}" for name in imported if name not in used_names(tree)]
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            found += [f"{module}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and name not in used]
+    return found
+
+
+def test_no_unused_imports_or_private_names():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(Path(fractalfit.__file__).parent.glob("*.py"))}
+    assert unused_names(sources) == []
+
+
+def test_unused_guard_sees_each_form():
+    sample = """
+from __future__ import annotations
+import os
+import sys
+from dataclasses import dataclass, fields
+__all__ = ["public", "_exported"]
+_LIMIT = 3
+_SPARE: int = 4
+
+def public():
+    return _used(sys.argv) + _LIMIT + len(fields(public))
+
+def _used(argv):
+    return _used(argv[1:]) if argv else 0
+
+def _unused():
+    return public()
+
+def _exported():
+    pass
+
+class _Kind:
+    pass
+"""
+    assert unused_names({"sample": sample}) == [
+        "sample: os", "sample: dataclass", "sample: _SPARE", "sample: _unused", "sample: _Kind",
+    ]
+    # a name one module uses is used
+    assert unused_names({"sample": sample, "other": "from .sample import _unused\n_unused()\n"}) == [
+        "sample: os", "sample: dataclass", "sample: _SPARE", "sample: _Kind",
+    ]
