@@ -29,7 +29,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ifs_core import Knots, Series, _abg_values, _blocks, _frozen_array, _project, _segment_slices
+from .ifs_core import (Knots, Series, _abg_values, _blocks, _bucket_table, _count_breaks, _frozen_array,
+                       _project, _segment_slices)
 
 __all__ = [
     "FitReport",
@@ -78,27 +79,16 @@ def piecewise_constant_extension(series: Series) -> Callable:
     """Nearest-neighbor extension of the series to a function on [a, b].
 
     Returns a vectorized callable with g(z) = w_m for the sample z_m closest
-    to z; a point exactly midway between two samples takes the left one.
-    The index guessed from even spacing stands where the true midpoints
-    bracket the query, and is binary-searched elsewhere: exact for any
-    series, O(1) per query on an evenly spaced one.
-    """
+    to z; a point exactly midway between two samples takes the left one.  Its
+    index is the number of midpoints below z, counted in a bucket table: exact
+    for any series, O(1) per query on an evenly spaced one."""
     z, w = series.z, series.w
-    bracket = np.concatenate(([-np.inf], (z[:-1] + z[1:]) / 2.0, [np.inf]))  # padded midpoints
-    spacing = (z[-1] - z[0]) / (z.size - 1)
-
-    def extension(q):
-        q = np.asarray(q, dtype=float)
-        with np.errstate(all="ignore"):  # an overflowing or NaN guess only fails the check
-            guess = np.ceil((q - z[0]) / spacing - 0.5)
-        idx = np.array(np.fmin(np.fmax(guess, 0.0), z.size - 1), dtype=np.intp)  # NaN goes to 0
-        # the guess stands where midpoint[idx - 1] < q <= midpoint[idx], never at NaN
-        hit = (bracket.take(idx) < q) & (q <= bracket.take(idx + 1))
-        if not hit.all():  # side="left" sends q == midpoint to the left sample
-            idx[~hit] = np.searchsorted(bracket[1:-1], q[~hit], side="left")
-        return w.take(idx)
-
-    return extension
+    with np.errstate(over="ignore"):
+        midpoints = (z[:-1] + z[1:]) / 2.0
+    far = np.isinf(midpoints)  # the sum overflowed; halving first is exact there
+    midpoints[far] = z[:-1][far] / 2.0 + z[1:][far] / 2.0
+    table = _bucket_table(midpoints, z[0], z[-1])
+    return lambda q: w.take(_count_breaks(table, q, np.greater))
 
 
 def _collage_terms(series: Series, knots: Knots):

@@ -122,17 +122,8 @@ class Knots(_SortedPairs):
         return float(self.x[-1])
 
     @cached_property
-    def _buckets(self):
-        """Tables of :func:`segment_indices`: origin, scale, ``first[j]`` = (knots
-        x_0..x_{N-1} in buckets below j) - 1, those knots padded with +inf, steps."""
-        x = self.x
-        scale = min(8 * x.size / float(x[-1] - x[0]), np.finfo(float).max)  # subnormal spans too
-        keys = ((x - x[0]) * scale).astype(np.intp)  # bit for bit as in segment_indices
-        first = np.searchsorted(keys[:-1], np.arange(keys[-1] + 1)) - 1
-        occupancy = int(np.bincount(keys[:-1]).max())
-        steps = [1 << k for k in reversed(range(occupancy.bit_length()))]
-        pad = np.concatenate([x[:-1], np.full(2 * steps[0] - 1, np.inf)])
-        return x[0], scale, first, pad, steps
+    def _buckets(self):  # the table of segment_indices: interior knots over [a, b]
+        return _bucket_table(self.x[1:-1], self.x[0], self.x[-1])
 
     @cached_property
     def _gaps(self):  # per-segment width and rise, for _chord
@@ -272,21 +263,40 @@ def build_model(knots: Knots, d: Sequence[float]) -> FifModel:
     return FifModel(knots, d)
 
 
+def _bucket_table(breaks: np.ndarray, lo, hi):
+    """The table of :func:`_count_breaks` for sorted ``breaks`` in [lo, hi]:
+    equal buckets, 8 per point of the frame lo, breaks, hi and at most 2^20,
+    ``first[j]`` = the breaks in buckets below j, the breaks behind one
+    unread slot and padded with +inf, and the bisection steps."""
+    buckets = min(8 * (breaks.size + 2), 1 << 20)  # 8 MiB of first at most
+    scale = min(buckets / float(hi - lo), np.finfo(float).max)  # subnormal spans too
+    keys = ((breaks - lo) * scale).astype(np.intp) + 1  # keys as in _count_breaks, shifted by one
+    first = np.bincount(keys, minlength=int((hi - lo) * scale) + 1)  # so its cumsum counts keys < j
+    steps = [1 << k for k in reversed(range(int(first.max()).bit_length()))]
+    np.cumsum(first, out=first)
+    pad = np.concatenate([[lo], breaks, np.full(2 * steps[0] - 1, np.inf)])
+    return lo, hi, scale, first, pad, steps
+
+
+def _count_breaks(table, x, above) -> np.ndarray:
+    """The number of breaks b of ``table`` with ``above(q, b)`` for each q of
+    ``x`` clamped into [lo, hi] (NaN to hi): ``np.greater_equal`` counts b <= q,
+    ``np.greater`` b < q.  Bucket trunc((q - lo) * scale) is monotone in q, so
+    only the breaks in q's bucket need a (branch-free) bisection."""
+    lo, hi, scale, first, pad, steps = table
+    q = np.fmax(np.fmin(np.asarray(x, dtype=float), hi), lo)
+    count = first.take(((q - lo) * scale).astype(np.intp))
+    for step in steps:
+        count += step * above(q, pad.take(count + step))
+    return count
+
+
 def segment_indices(knots: Knots, x) -> np.ndarray:
     """Indices of the segments containing ``x`` (half-open, last closed);
-    points below a label 0, points above b (and NaN) label N - 1.
-
-    Exact, via 8(N + 1) equal buckets over [a, b] built once per knot set:
-    bucket trunc((q - a) * scale) is monotone in q, so only the knots sharing
-    q's bucket need a (branch-free) bisection.  O(1) per query (one step) for
-    spread-out knots, at most floor(log2 N) + 1 steps for clustered ones.
-    """
-    lo, scale, first, pad, steps = knots._buckets
-    q = np.fmax(np.fmin(np.asarray(x, dtype=float), knots.x[-1]), lo)
-    label = first.take(((q - lo) * scale).astype(np.intp))
-    for step in steps:
-        label += step * (q >= pad.take(label + step))
-    return label
+    points below a label 0, points above b (and NaN) label N - 1.  Exact: the
+    number of interior knots <= x, from a bucket table built once per knot set,
+    one step per query for spread-out knots, floor(log2 N) + 1 at most."""
+    return _count_breaks(knots._buckets, x, np.greater_equal)
 
 
 def _chord(knots: Knots, seg: np.ndarray, x: np.ndarray):

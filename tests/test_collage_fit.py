@@ -20,7 +20,7 @@ from fractalfit import (
     select_knots,
 )
 from fractalfit.collage_fit import _collage_terms, _segment_slices
-from fractalfit.ifs_core import _abg_values, segment_indices
+from fractalfit.ifs_core import _abg_values, _bucket_table, segment_indices
 
 
 def walk_instance(seed, m_count=160, interior=(39, 79, 119)):
@@ -107,25 +107,30 @@ class TestExtension:
 
 @st.composite
 def extension_cases(draw):
-    """A series (even integer, even decimal or random spacing) and queries at
-    and beside every midpoint and sample, at the ends, outside, infinite
-    and NaN."""
+    """A series (even integer, even decimal, random spacing, or far: random
+    spacing near +-1e308, where the sum of two neighbours overflows) and
+    queries at and beside every midpoint and sample, at the ends, outside,
+    infinite and NaN."""
     m_count = draw(st.integers(2, 40))
-    kind = draw(st.sampled_from(["integer", "decimal", "random"]))
+    kind = draw(st.sampled_from(["integer", "decimal", "random", "far"]))
     if kind == "integer":
         start = draw(st.sampled_from([0, 1, -7, -(2**40), 2**40 - 5])) + draw(st.integers(-3, 3))
         z = start + draw(st.integers(1, 5)) * np.arange(m_count, dtype=float)
     elif kind == "decimal":
         step = draw(st.sampled_from([0.1, 0.3, 1e-3]))
         z = draw(st.sampled_from([0.0, 1.0, -3.3, 1e6])) + step * np.arange(m_count)
-    else:
+    elif kind == "random":
         seed = draw(st.integers(0, 2**32 - 1))
         z = np.cumsum(np.random.default_rng(seed).uniform(1e-3, 2.0, m_count)) - 1.0
-    mid = (z[:-1] + z[1:]) / 2.0
+    else:
+        gaps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1e-3, 2.0, m_count)
+        z = np.sort(draw(st.sampled_from([1.0, -1.0])) * (1e308 + np.cumsum(gaps) * (7e307 / gaps.sum())))
+    mid = z[:-1] / 2.0 + z[1:] / 2.0  # the once-rounded midpoint, which no sum overflows
     span = z[-1] - z[0]
+    with np.errstate(over="ignore"):  # far from 0, z[0] - span or z[-1] + span is infinite
+        outside = [z[0] - span, z[0] - 0.7, z[-1] + 0.7, z[-1] + span, np.inf, -np.inf, np.nan]
     queries = np.concatenate([
-        mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf), z,
-        [z[0] - span, z[0] - 0.7, z[-1] + 0.7, z[-1] + span, np.inf, -np.inf, np.nan],
+        mid, np.nextafter(mid, -np.inf), np.nextafter(mid, np.inf), z, outside,
         np.random.default_rng(m_count).uniform(z[0] - 1, z[-1] + 1, 20),
     ])
     return Series(z, np.arange(m_count) * 1.5 - 3.0), queries
@@ -136,7 +141,7 @@ def extension_cases(draw):
 def test_extension_matches_binary_search(case):
     series, queries = case
     g = piecewise_constant_extension(series)
-    midpoints = (series.z[:-1] + series.z[1:]) / 2.0
+    midpoints = series.z[:-1] / 2.0 + series.z[1:] / 2.0
     want = series.w[np.searchsorted(midpoints, queries, side="left")]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -149,30 +154,27 @@ def test_extension_matches_binary_search(case):
         assert all(np.shape(v) == () and v == expected for v in single)
 
 
-def test_fit_lookup_takes_the_even_spacing_path(tmp_path, monkeypatch):
+def test_fit_lookup_takes_one_step_on_even_spacing(tmp_path, monkeypatch):
     # every generator and every 1-column CSV gives evenly spaced abscissae;
-    # a query sent to the binary search here means the O(1) guess broke
+    # no bucket of the sample table may hold two midpoints there, so each
+    # lookup is O(1): a single bisection step
     csv = tmp_path / "one_column.csv"
     csv.write_text("".join(f"{v!r}\n" for v in np.sin(np.arange(2000) / 37.0).tolist()))
     bases = np.random.default_rng(5).choice(list("ACGT"), 3000)
     series_set = [gen_polynomial(5000), gen_dna_walk("".join(bases)),
                   gen_random_walk(5000, 3), load_series_csv(csv)]
-    searched = []
+    tables = []
 
-    class SpyNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
+    def spy(*args):
+        tables.append(_bucket_table(*args))
+        return tables[-1]
 
-        def searchsorted(self, a, v, side="left"):
-            searched.append(np.size(v))
-            return np.searchsorted(a, v, side=side)
-
-    monkeypatch.setattr(collage_fit, "np", SpyNumpy())
+    monkeypatch.setattr(collage_fit, "_bucket_table", spy)
     for series in series_set:
         knots = select_knots(series, "extrema", n_interior=4, window=21, prominence=0.01)
         assert knots.n_segments > 2
         fit_d_discrete(series, knots)
-    assert searched == []
+    assert [table[-1] for table in tables] == [[1]] * len(series_set)
 
 
 class TestFit:

@@ -293,8 +293,8 @@ def test_segment_indices_half_open():
 @st.composite
 def lookup_cases(draw):
     """Knot abscissae, random, geometric (2^-k), clustered at 1e-9 or
-    subnormal, and queries: the knots, their float neighbours, points inside
-    and finite points outside the domain up to +-1e308."""
+    subnormal, and queries: the knots, their float neighbours, points inside,
+    points outside the domain up to +-1e308, infinite and NaN."""
     n = draw(st.integers(2, 300))
     kind = draw(st.sampled_from(["random", "geometric", "clustered", "subnormal"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -309,7 +309,7 @@ def lookup_cases(draw):
     far = rng.uniform(-1.0, 1.0, 40) * 10.0 ** rng.integers(0, 309, 40)
     queries = np.concatenate([
         x, np.nextafter(x, np.inf), np.nextafter(x, -np.inf),
-        rng.uniform(x[0], x[-1], 200), far, [-1e308, 1e308],
+        rng.uniform(x[0], x[-1], 200), far, [-1e308, 1e308, np.inf, -np.inf, np.nan],
     ])
     return Knots(x, np.zeros(x.size)), rng.permutation(queries)
 
