@@ -8,7 +8,7 @@ import numpy as np
 
 from .baseline_quadratic import fit_quadratic
 from .collage_fit import D_MAX_DEFAULT, fit_d_discrete
-from .ifs_core import Knots, Series, build_model, default_depth
+from .ifs_core import Knots, Series, _rss, build_model, default_depth
 
 __all__ = ["ComparisonRow", "rms_error", "compare"]
 
@@ -34,8 +34,8 @@ class ComparisonRow:
 def rms_error(h, series: Series) -> float:
     """Root-mean-square error against the series of ``h``, a model or any
     callable mapping an abscissa array to values."""
-    values = np.asarray(h(series.z), dtype=float)
-    return float(np.sqrt(np.mean((values - series.w) ** 2)))
+    values = np.broadcast_to(np.asarray(h(series.z), dtype=float), series.z.shape)
+    return float(np.sqrt(_rss(series.w, lambda r: values[r]) / series.m_count))
 
 
 def compare(

@@ -38,7 +38,7 @@ from .datasets import (
     normalize,
     select_knots,
 )
-from .ifs_core import FifModel, Knots, Series, _domain_points, build_model
+from .ifs_core import FifModel, Knots, Series, _blocks, _domain_points, _rss, build_model
 
 SCHEMA_VERSION = "3"
 
@@ -88,12 +88,6 @@ def write_json(path, payload) -> None:
     Path(path).write_text(_json_text(payload), encoding="utf-8")
 
 
-#: Rows formatted and written at a time, so a long curve never sits in
-#: memory as text all at once: with worker processes, at most two slices per
-#: worker are in flight between the parent and the file.
-_CSV_CHUNK = 1 << 16
-
-
 def write_series_csv(path, x, y, header: str = "z,w") -> None:
     """Two-column CSV: the header line, then one ``x,y`` row of repr floats
     per sample."""
@@ -107,13 +101,14 @@ def _format_rows(x, y) -> str:
 
 def _write_rows(path, x, values, header: str) -> None:
     """``write_series_csv(path, x, y, header)`` where ``values(rows)`` is
-    ``y[rows]`` for each slice ``rows`` of ``_CSV_CHUNK`` rows, called in
-    order.  With more than one slice and more than one usable CPU, worker
-    processes format the slices while the parent computes the next ones'
-    values; the bytes are the same.  A failure after the file is opened
-    removes it, so no partial file is left."""
+    ``y[rows]`` for each slice ``rows`` of :func:`~fractalfit.ifs_core._blocks`,
+    called in order, so a long curve never sits in memory as text all at once.
+    With more than one slice and more than one usable CPU, worker processes
+    format the slices while the parent computes the next ones' values, with at
+    most two slices per worker in flight; the bytes are the same.  A failure
+    after the file is opened removes it, so no partial file is left."""
     path = Path(path)
-    slices = [slice(i, i + _CSV_CHUNK) for i in range(0, len(x), _CSV_CHUNK)]
+    slices = _blocks(len(x))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(slices))
     out = path.open("w", encoding="utf-8")
@@ -350,7 +345,7 @@ def _cmd_fit(args) -> int:
         model = fit_quadratic(series, knots)
         flags = {"chord_fallback": model.chord_fallback.tolist()}
         with np.errstate(over="ignore"):
-            statistics = {"residual_rss": float(np.sum((model(series.z) - series.w) ** 2))}
+            statistics = {"residual_rss": _rss(series.w, lambda r: model(series.z[r]))}
     _check_finite(statistics)
     provenance = {"input_sha256": hashlib.sha256(raw).hexdigest(), "tool_version": __version__}
     payload = model_to_payload(model, normalization=normalization, provenance=provenance)
@@ -384,8 +379,8 @@ def _cmd_eval(args) -> int:
     else:
         xs = _read(args.at, lambda path: _read_columns(path, 1)[0])
     depth = () if args.depth is None else (args.depth,)
-    # before the file opens, the refusals no point causes (a depth over
-    # MAX_LEVELS or below 0), then any point outside the domain
+    # before the file opens, the refusals no point causes (a default depth
+    # over MAX_LEVELS, or a depth below 0), then any point outside the domain
     model(xs[:0], *depth)
     _domain_points(model.knots, xs)
     # each slice is evaluated as it is written, so the evaluation overlaps

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ifs_core import (Knots, Series, _abg_values, _blocks, _bucket_table, _count_breaks, _frozen_array,
-                       _project, _segment_slices)
+                       _project, _rss, _segment_slices)
 
 __all__ = [
     "FitReport",
@@ -103,14 +103,6 @@ def _collage_terms(series: Series, knots: Knots):
     return starts, seg, alpha, basis
 
 
-def _collage_rss(series: Series, seg, alpha, basis, d) -> float:
-    squares = np.empty(series.m_count)
-    for rows in _blocks(squares.size):
-        residual = series.w[rows] - (alpha[rows] - d.take(seg[rows]) * basis[rows])
-        np.square(residual, out=squares[rows])
-    return float(np.sum(squares))  # order-fixed, unlike a BLAS dot
-
-
 def fit_d_discrete(
     series: Series, knots: Knots, d_max: float = D_MAX_DEFAULT
 ) -> FitReport:
@@ -131,7 +123,7 @@ def fit_d_discrete(
     clamped = np.abs(d) > d_max
     d[clamped] = np.sign(d[clamped]) * d_max
 
-    rss = _collage_rss(series, seg, alpha, basis, d)
+    rss = _rss(w, lambda r: alpha[r] - d.take(seg[r]) * basis[r])
     contraction = float(np.max(np.abs(d)))
     bound = float(np.sqrt(rss / series.m_count) / (1.0 - contraction))
     return FitReport(d=d, clamped=clamped, degenerate=degenerate, collage_rss=rss,
@@ -146,4 +138,4 @@ def collage_residual(series: Series, knots: Knots, d: Sequence[float]) -> float:
             f"expected {knots.n_segments} scaling factors, got {d_arr.size}"
         )
     _, seg, alpha, basis = _collage_terms(series, knots)
-    return _collage_rss(series, seg, alpha, basis, d_arr)
+    return _rss(series.w, lambda r: alpha[r] - d_arr.take(seg[r]) * basis[r])

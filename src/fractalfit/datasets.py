@@ -194,8 +194,6 @@ def normalize(series: Series) -> tuple[Series, NormalizationParams]:
 
 
 def _moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    if window == 1:
-        return values
     padded = np.pad(values, window // 2, mode="edge")
     return np.convolve(padded, np.full(window, 1.0 / window), mode="valid")
 

@@ -197,6 +197,16 @@ def _project(terms, starts, size: int, floor: float):
     return np.divide(numerator, denominator, out=np.zeros(starts.size), where=~flat), flat
 
 
+def _rss(w: np.ndarray, predicted) -> float:
+    """sum_m (w_m - predicted_m)^2, ``predicted(rows)`` being the model's values
+    on each slice ``rows`` of :func:`_blocks`.  One ``np.sum`` over all squares:
+    its order does not depend on the slices, and no BLAS dot rounds it."""
+    squares = np.empty(w.size)
+    for rows in _blocks(w.size):
+        np.square(w[rows] - predicted(rows), out=squares[rows])
+    return float(np.sum(squares))
+
+
 @dataclass(frozen=True)
 class FifModel:
     """A fractal interpolation model: knots plus one vertical scaling per

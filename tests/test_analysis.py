@@ -30,6 +30,7 @@ def test_rms_of_perfect_callable_is_zero():
 def test_rms_hand_computed():
     series = Series(np.array([1.0, 2.0, 3.0, 4.0]), np.zeros(4))
     assert rms_error(lambda z: np.full(z.size, 2.0), series) == 2.0
+    assert rms_error(lambda z: 2.0, series) == 2.0  # a constant broadcasts
 
 
 def test_rms_dispatches_on_model_type():

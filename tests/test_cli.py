@@ -29,7 +29,7 @@ from fractalfit import (
     gen_polynomial,
     select_knots,
 )
-from fractalfit import cli
+from fractalfit import cli, ifs_core
 from fractalfit.cli import (
     SCHEMA_VERSION,
     main,
@@ -568,7 +568,7 @@ class TestPooledCurve:
     """A curve of several slices is formatted by worker processes when two
     CPUs are usable, in the test process with one; the bytes are the same."""
 
-    GRID = 200_003  # four slices of the CSV chunk, the last one short
+    GRID = 200_003  # 13 slices of ifs_core._CHUNK rows, the last one short
 
     @pytest.fixture(params=[2, 1], ids=["pooled", "one-cpu"])
     def cpus(self, request, monkeypatch):
@@ -581,7 +581,7 @@ class TestPooledCurve:
         """The format calls the test process makes for a file of ``rows`` rows."""
         if cpus > 1:
             return []
-        chunk = cli._CSV_CHUNK
+        chunk = ifs_core._CHUNK
         return [min(chunk, rows - i) for i in range(0, rows, chunk)]
 
     @pytest.mark.parametrize(

@@ -124,7 +124,7 @@ def extension_cases(draw):
         z = np.cumsum(np.random.default_rng(seed).uniform(1e-3, 2.0, m_count)) - 1.0
     else:
         gaps = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1e-3, 2.0, m_count)
-        z = np.sort(draw(st.sampled_from([1.0, -1.0])) * (1e308 + np.cumsum(gaps) * (7e307 / gaps.sum())))
+        z = np.sort(draw(st.sampled_from([1.0, -1.0])) * (1e308 + np.cumsum(gaps) / gaps.sum() * 7e307))
     mid = z[:-1] / 2.0 + z[1:] / 2.0  # the once-rounded midpoint, which no sum overflows
     span = z[-1] - z[0]
     with np.errstate(over="ignore"):  # far from 0, z[0] - span or z[-1] + span is infinite

@@ -601,6 +601,7 @@ class TestProminentPeaks:
 
     def test_matches_find_peaks_on_a_smoothed_walk(self, find_peaks):
         series, _ = normalize(gen_random_walk(20_000, 4))
+        assert np.array_equal(_moving_average(series.w, 1), series.w)
         for window in (1, 21):
             smoothed = _moving_average(series.w, window)
             for sign in (1.0, -1.0):

@@ -19,6 +19,7 @@ from fractalfit import (
     fixed_point_residual,
     hutchinson_apply,
     ifs_core,
+    rms_error,
     segment_indices,
 )
 from fractalfit.ifs_core import MAX_LEVELS, TOL, _abg_values, _certificate, _chord_b0
@@ -509,6 +510,7 @@ class TestBlocks:
             collage_residual(series, knots, report.d), quad.curvature, quad.chord_fallback,
             evaluate_quad(quad, xs), evaluate_fif(model, xs),
             *(evaluate_fif(model, xs, depth) for depth in (0, 1, 7)),
+            rms_error(model, series), rms_error(quad, series),
         ]
 
     @pytest.mark.parametrize("m_count", [127, 128, 129, 1000])
