@@ -264,9 +264,12 @@ def _add_knot_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prominence", type=float, help="extrema prominence threshold (default 0.05)")
 
 
-def _extrema_options(args) -> dict:
-    """The extrema-only flags given, by name; unset ones keep select_knots' defaults."""
-    return {name: value for name in ("n", "window", "prominence") if (value := getattr(args, name)) is not None}
+def _refuse(args, names, reason: str) -> None:
+    """A UsageError ``--<name> <reason>`` for the first of the flags ``names``
+    given: its value is not None, so ``--n 0`` and ``--knots ""`` count."""
+    for name in names:
+        if getattr(args, name.replace("-", "_")) is not None:
+            raise UsageError(f"--{name} {reason}")
 
 
 def _knot_selection(args) -> dict:
@@ -274,19 +277,18 @@ def _knot_selection(args) -> dict:
     if args.knots_mode == "manual":
         if not args.knots:
             raise UsageError("manual knot mode requires --knots with interior indices")
-        if given := list(_extrema_options(args)):
-            raise UsageError(f"--{given[0]} applies only to --knots-mode extrema")
+        _refuse(args, ("n", "window", "prominence"), "applies only to --knots-mode extrema")
         try:
             indices = [int(tok) for tok in args.knots.split(",") if tok.strip()]
         except ValueError:
             raise UsageError(f"--knots must be comma-separated integers, got {args.knots!r}")
         return {"mode": "manual", "indices": indices}
-    if args.knots:
-        raise UsageError("--knots conflicts with --knots-mode extrema")
-    options = _extrema_options(args)
-    if "n" not in options:
+    _refuse(args, ("knots",), "conflicts with --knots-mode extrema")
+    if args.n is None:
         raise UsageError("extrema knot mode requires --n")
-    return {"mode": "extrema", "n_interior": options.pop("n"), **options}
+    # unset ones keep select_knots' defaults
+    options = {name: value for name in ("window", "prominence") if (value := getattr(args, name)) is not None}
+    return {"mode": "extrema", "n_interior": args.n, **options}
 
 
 # ---------------------------------------------------------------------------
@@ -294,24 +296,18 @@ def _knot_selection(args) -> dict:
 
 def _cmd_gen(args) -> int:
     out = Path(args.out)
+    unused = {"dna": ("m", "seed"), "polynomial": ("input", "seed"), "random-walk": ("input",)}
+    _refuse(args, unused[args.kind], f"is not meaningful with --kind {args.kind}")
     if args.kind == "dna":
         if args.input is None:
             raise UsageError("--kind dna requires --input (plain text or FASTA)")
-        for flag, value in (("--m", args.m), ("--seed", args.seed)):
-            if value is not None:
-                raise UsageError(f"{flag} is not meaningful with --kind dna")
         raw = _read(args.input, lambda path: gen_dna_walk(Path(path).read_text(encoding="utf-8")))
+    elif args.m is None:
+        raise UsageError(f"--kind {args.kind} requires --m")
+    elif args.kind == "polynomial":
+        raw = gen_polynomial(args.m)
     else:
-        if args.input is not None:
-            raise UsageError(f"--input is not meaningful with --kind {args.kind}")
-        if args.m is None:
-            raise UsageError(f"--kind {args.kind} requires --m")
-        if args.kind == "polynomial":
-            if args.seed is not None:
-                raise UsageError("--seed is not meaningful with --kind polynomial")
-            raw = gen_polynomial(args.m)
-        else:
-            raw = gen_random_walk(args.m, args.seed if args.seed is not None else 0)
+        raw = gen_random_walk(args.m, args.seed if args.seed is not None else 0)
 
     normalized, params = normalize(raw)
     raw_path = out.with_name(out.stem + ".raw.csv")
@@ -324,10 +320,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if args.method == "quadratic" and args.d_max is not None:
-        raise UsageError("--d-max applies only to --method fractal")
+    if args.method == "quadratic":
+        _refuse(args, ("d-max",), "applies only to --method fractal")
     selection = _knot_selection(args)
-    raw = Path(args.series).read_bytes()  # read once: parsed, then hashed for the provenance
+    raw = Path(args.series).read_bytes()  # parsed (numpy rereads a regular file), then hashed
     series = _read(args.series, lambda path: Series(*_read_columns(path, 2, raw)))
     knots = select_knots(series, **selection)
     normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
@@ -370,8 +366,8 @@ def _cmd_eval(args) -> int:
     if args.grid is not None and args.grid < 2:
         raise UsageError("--grid must be >= 2")
     payload = _read(args.model, read_model_file)
-    if args.depth is not None and _KINDS[payload["kind"]] is not FifModel:
-        raise UsageError("--depth applies only to fractal models")
+    if _KINDS[payload["kind"]] is not FifModel:
+        _refuse(args, ("depth",), "applies only to fractal models")
     # building checks the knots and the parameter values, so their errors name the file too
     model = _read(args.model, lambda _: model_from_payload(payload))
     if args.grid is not None:
@@ -405,11 +401,9 @@ def _render_text(rows: list[dict]) -> str:
 
 def _cmd_compare(args) -> int:
     if args.all_examples:
-        for flag, given in [("--series", args.series), ("--knots", args.knots),
-                            ("--knots-mode extrema", args.knots_mode == "extrema"),
-                            *((f"--{name}", True) for name in _extrema_options(args))]:
-            if given:
-                raise UsageError(f"--all-examples conflicts with {flag}")
+        _refuse(args, ("series", "knots", "n", "window", "prominence"), "conflicts with --all-examples")
+        if args.knots_mode == "extrema":  # never None: "manual" is its default
+            raise UsageError("--knots-mode extrema conflicts with --all-examples")
         series, _ = normalize(gen_polynomial(10_000))
         knots = select_knots(series, "manual", indices=[500, 4000, 7500])
         name = "polynomial"

@@ -74,10 +74,9 @@ def gen_dna_walk(text: str) -> Series:
     sequence = "".join("".join(lines).split()).upper()
     if not sequence:
         raise ValueError("empty nucleotide sequence")
-    for pos, ch in enumerate(sequence, start=1):
-        if ch not in "ACGT":
-            raise ValueError(f"invalid nucleotide {ch!r} at position {pos}")
-    steps = np.where(np.isin(list(sequence), ("A", "G")), 1.0, -1.0)
+    if bad := re.search("[^ACGT]", sequence):
+        raise ValueError(f"invalid nucleotide {bad[0]!r} at position {bad.start() + 1}")
+    steps = np.where(np.isin(np.frombuffer(sequence.encode("ascii"), np.uint8), tuple(b"AG")), 1.0, -1.0)
     v = np.concatenate([[0.0], np.cumsum(steps[1:])])
     return Series(np.arange(1, v.size + 1, dtype=float), v)
 
@@ -132,18 +131,20 @@ def _is_header(line: str) -> bool:
 
 
 def _fast_rows(path, text: str) -> np.ndarray | None:
-    """The cells of ``text``, read from ``path`` by ``np.loadtxt``; None if
-    numpy raises or warns, or where its rules and the scan's part: at the
-    line breaks of ``str.splitlines`` that numpy does not know, and at U+001F,
-    which numpy strips from a line's end and ``float()`` refuses.  The first
-    line is skipped if blank or a header; numpy raises at a later header."""
+    """The cells of ``text``, read by ``np.loadtxt`` from ``path`` if it is a
+    regular file (faster), else from the lines of ``text`` (a pipe is drained);
+    None if numpy raises or warns, or where its rules and the scan's part: at
+    the line breaks of ``str.splitlines`` that numpy does not know, and at
+    U+001F, which numpy strips from a line's end and ``float()`` refuses.  The
+    first line is skipped if blank or a header; numpy raises at a later header."""
     if any(char in text for char in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\x1f"):
         return None
     skip = int(_is_header(re.match("[^\r\n]*", text)[0]))
+    source = path if Path(path).is_file() else text.splitlines()
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error", UserWarning)  # "input contained no data"
-            return np.loadtxt(path, encoding="utf-8", delimiter=",", comments=None,
+            return np.loadtxt(source, encoding="utf-8", delimiter=",", comments=None,
                               skiprows=skip, ndmin=2)
     except (ValueError, UserWarning):
         return None

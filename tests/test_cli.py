@@ -132,6 +132,7 @@ class TestGen:
             ("gen", "--kind", "dna", "--input", "f.txt", "--m", "5", "--out", out),
             ("gen", "--kind", "polynomial", "--out", out),
             ("gen", "--kind", "polynomial", "--m", "10", "--seed", "3", "--out", out),
+            ("gen", "--kind", "polynomial", "--m", "10", "--seed", "0", "--out", out),
             ("gen", "--kind", "dna", "--input", "f.txt", "--seed", "3", "--out", out),
             ("gen", "--kind", "random-walk", "--m", "10", "--input", "f.txt", "--out", out),
             ("gen", "--kind", "polynomial", "--m", "10", "--input", "f.txt", "--out", out),
@@ -290,6 +291,11 @@ class TestFit:
             ("fit", "--series", series, "--knots", "100,200", "--window", "7",
              "--out-model", model, "--out-report", report),
             ("fit", "--series", series, "--knots", "100,200", "--prominence", "0.5",
+             "--out-model", model, "--out-report", report),
+            # a flag is given when it is set at all, to 0 as well
+            ("fit", "--series", series, "--knots", "100,200", "--n", "0",
+             "--out-model", model, "--out-report", report),
+            ("fit", "--series", series, "--knots", "100,200", "--prominence", "0",
              "--out-model", model, "--out-report", report),
             ("fit", "--series", series, "--knots", "100,200", "--method", "quadratic",
              "--d-max", "0.5", "--out-model", model, "--out-report", report),
@@ -858,6 +864,8 @@ class TestCompare:
         assert run(capsys, "compare", "--all-examples", "--window", "5", "--prominence", "0.5")[0] == 2
         assert run(capsys, "compare", "--all-examples", "--window", "5")[0] == 2
         assert run(capsys, "compare", "--all-examples", "--prominence", "0.5")[0] == 2
+        assert run(capsys, "compare", "--all-examples", "--series", "") == (
+            2, "", "usage error: --series conflicts with --all-examples\n")
 
 
 @pytest.mark.parametrize(
@@ -869,8 +877,10 @@ class TestCompare:
          "extrema knot mode requires --n"),
         (("compare", "--series", "nope.csv", "--knots", "1,2", "--window", "5"),
          "--window applies only to --knots-mode extrema"),
+        (("compare", "--series", "nope.csv", "--knots-mode", "extrema", "--n", "3", "--knots", ""),
+         "--knots conflicts with --knots-mode extrema"),
     ],
-    ids=["fit-manual", "compare-extrema", "compare-window"],
+    ids=["fit-manual", "compare-extrema", "compare-window", "compare-extrema-empty-knots"],
 )
 def test_knot_flags_checked_before_series_is_read(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import threading
 import warnings
 from pathlib import Path
 
@@ -398,6 +400,37 @@ def test_loader_matches_parent_loader(tmp_path_factory, text):
         assert got == expected
     else:
         assert all(map(np.array_equal, got, expected))
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd to name a pipe")
+def test_pipe_loads_like_a_regular_file(tmp_path, monkeypatch):
+    """numpy cannot read a drained pipe again, so a pipe is read from the
+    text already read, on the fast path, to the same bits as the file."""
+    values = np.random.default_rng(5).standard_normal(20_000)
+    text = "z,w\n" + "".join(f"{i},{v!r}\n" for i, v in enumerate(values.tolist(), start=1))
+    regular = tmp_path / "walk.csv"
+    regular.write_text(text)
+
+    def no_scan(*args):
+        raise AssertionError("the per-line scan ran")
+
+    monkeypatch.setattr("fractalfit.datasets._scan_rows", no_scan)
+    expected = load_series_csv(regular)
+    read_end, write_end = os.pipe()
+
+    def write():
+        with os.fdopen(write_end, "w") as pipe:
+            pipe.write(text)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        got = load_series_csv(f"/dev/fd/{read_end}")
+    finally:
+        writer.join(timeout=30)
+        os.close(read_end)
+    assert not writer.is_alive()
+    assert got.z.tobytes() == expected.z.tobytes() and got.w.tobytes() == expected.w.tobytes()
 
 
 class TestNormalize:
