@@ -85,13 +85,35 @@ def _check_finite(values: dict) -> None:
 
 
 def write_json(path, payload) -> None:
-    Path(path).write_text(_json_text(payload), encoding="utf-8")
+    _write_files((path, _json_text(payload)))
 
 
 def write_series_csv(path, x, y, header: str = "z,w") -> None:
     """Two-column CSV: the header line, then one ``x,y`` row of repr floats
     per sample."""
-    _write_rows(path, x, lambda rows: y[rows], header)
+    _write_files((path, _csv(x, y, header)))
+
+
+def _csv(x, y, header: str = "z,w"):
+    return lambda out: _write_rows(out, x, lambda rows: y[rows], header)
+
+
+def _write_files(*files) -> None:
+    """Each ``(path, text)`` of ``files`` in order: the file opened, ``text``
+    written (or ``text(file)`` called), the file closed.  A failure removes
+    each regular file opened so far, never ``/dev/stdout`` and the like: a
+    failed command leaves none of its files."""
+    opened = []
+    try:
+        for path, text in files:
+            with open(path, "w", encoding="utf-8") as out:
+                opened.append(Path(path))
+                out.write(text) if isinstance(text, str) else text(out)
+    except BaseException:
+        for path in opened:
+            if path.is_file() and not path.is_symlink():
+                path.unlink()
+        raise
 
 
 def _format_rows(x, y) -> str:
@@ -99,31 +121,23 @@ def _format_rows(x, y) -> str:
     return "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
 
 
-def _write_rows(path, x, values, header: str) -> None:
-    """``write_series_csv(path, x, y, header)`` where ``values(rows)`` is
-    ``y[rows]`` for each slice ``rows`` of :func:`~fractalfit.ifs_core._blocks`,
-    called in order, so a long curve never sits in memory as text all at once.
-    With more than one slice and more than one usable CPU, worker processes
-    format the slices while the parent computes the next ones' values, with at
-    most two slices per worker in flight; the bytes are the same.  A failure
-    after the file is opened removes it, so no partial file is left."""
-    path = Path(path)
+def _write_rows(out, x, values, header: str) -> None:
+    """``write_series_csv``'s lines to the open file ``out``, where
+    ``values(rows)`` is ``y[rows]`` for each slice ``rows`` of
+    :func:`~fractalfit.ifs_core._blocks`, called in order, so a long curve
+    never sits in memory as text all at once.  With more than one slice and
+    more than one usable CPU, worker processes format the slices while the
+    parent computes the next ones' values, with at most two slices per
+    worker in flight; the bytes are the same."""
     slices = _blocks(len(x))
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(cpus, len(slices))
-    out = path.open("w", encoding="utf-8")
-    try:
-        with out:
-            out.write(header + "\n")
-            if workers > 1:
-                _write_pooled(out, x, values, slices, workers)
-            else:
-                for rows in slices:
-                    out.write(_format_rows(x[rows], values(rows)))
-    except BaseException:
-        if path.is_file() and not path.is_symlink():  # never /dev/stdout and the like
-            path.unlink()
-        raise
+    out.write(header + "\n")
+    if workers > 1:
+        _write_pooled(out, x, values, slices, workers)
+    else:
+        for rows in slices:
+            out.write(_format_rows(x[rows], values(rows)))
 
 
 def _write_pooled(out, x, values, slices, workers: int) -> None:
@@ -253,13 +267,7 @@ def _add_knot_args(sub: argparse.ArgumentParser) -> None:
         "--knots",
         help="comma-separated 1-based interior sample indices, e.g. 500,4000,7500",
     )
-    sub.add_argument(
-        "--knots-mode",
-        choices=["manual", "extrema"],
-        default="manual",
-        help="manual (default) uses --knots; extrema picks prominent extrema",
-    )
-    sub.add_argument("--n", type=int, help="number of interior extrema knots")
+    sub.add_argument("--n", type=int, help="without --knots: knots at the N most prominent interior extrema")
     sub.add_argument("--window", type=int, help="extrema smoothing window (odd; default 101)")
     sub.add_argument("--prominence", type=float, help="extrema prominence threshold (default 0.05)")
 
@@ -273,19 +281,19 @@ def _refuse(args, names, reason: str) -> None:
 
 
 def _knot_selection(args) -> dict:
-    """``select_knots``' keyword arguments, from the knot flags alone."""
-    if args.knots_mode == "manual":
-        if not args.knots:
-            raise UsageError("manual knot mode requires --knots with interior indices")
-        _refuse(args, ("n", "window", "prominence"), "applies only to --knots-mode extrema")
+    """``select_knots``' keyword arguments, from the knot flags alone: ``--knots``
+    picks samples by index, else ``--n`` picks the most prominent extrema."""
+    if args.knots is not None:
+        _refuse(args, ("n", "window", "prominence"), "conflicts with --knots")
         try:
             indices = [int(tok) for tok in args.knots.split(",") if tok.strip()]
         except ValueError:
-            raise UsageError(f"--knots must be comma-separated integers, got {args.knots!r}")
+            indices = []
+        if not indices:
+            raise UsageError(f"--knots must be one or more comma-separated integers, got {args.knots!r}")
         return {"mode": "manual", "indices": indices}
-    _refuse(args, ("knots",), "conflicts with --knots-mode extrema")
     if args.n is None:
-        raise UsageError("extrema knot mode requires --n")
+        raise UsageError("--knots or --n is required")
     # unset ones keep select_knots' defaults
     options = {name: value for name in ("window", "prominence") if (value := getattr(args, name)) is not None}
     return {"mode": "extrema", "n_interior": args.n, **options}
@@ -312,9 +320,8 @@ def _cmd_gen(args) -> int:
     normalized, params = normalize(raw)
     raw_path = out.with_name(out.stem + ".raw.csv")
     params_path = out.with_name(out.stem + ".params.json")
-    write_series_csv(out, normalized.z, normalized.w)
-    write_series_csv(raw_path, raw.z, raw.w)
-    write_json(params_path, asdict(params))
+    _write_files((out, _csv(normalized.z, normalized.w)), (raw_path, _csv(raw.z, raw.w)),
+                 (params_path, _json_text(asdict(params))))
     print(f"wrote {out} ({normalized.m_count} samples), {raw_path}, {params_path}")
     return 0
 
@@ -329,30 +336,21 @@ def _cmd_fit(args) -> int:
     normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
 
     if args.method == "fractal":
-        report = fit_d_discrete(series, knots, D_MAX_DEFAULT if args.d_max is None else args.d_max)
-        model = build_model(knots, report.d)
-        flags = {"clamped": report.clamped.tolist(), "degenerate": report.degenerate.tolist()}
-        statistics = {
-            "collage_rss": report.collage_rss,
-            "contraction_factor": report.contraction_factor,
-            "collage_bound": report.collage_bound,
-        }
+        result = fit_d_discrete(series, knots, D_MAX_DEFAULT if args.d_max is None else args.d_max)
+        model, residual = build_model(knots, result.d), {}
     else:
-        model = fit_quadratic(series, knots)
-        flags = {"chord_fallback": model.chord_fallback.tolist()}
+        model = result = fit_quadratic(series, knots)
         with np.errstate(over="ignore"):
-            statistics = {"residual_rss": _rss(series.w, lambda r: model(series.z[r]))}
-    _check_finite(statistics)
+            residual = {"residual_rss": _rss(series.w, lambda r: model(series.z[r]))}
     provenance = {"input_sha256": hashlib.sha256(raw).hexdigest(), "tool_version": __version__}
     payload = model_to_payload(model, normalization=normalization, provenance=provenance)
-    report_payload = {"kind": payload["kind"], **payload["parameters"], **flags, **statistics}
-    flagged = [f"segment {i}: {name.replace('_', ' ')}"
-               for name, mask in flags.items() for i in np.flatnonzero(mask)]
-
-    # both rendered before either is written: a number JSON cannot hold leaves no file
-    texts = [_json_text(payload), _json_text(report_payload)]
-    for path, text in zip((args.out_model, args.out_report), texts):
-        Path(path).write_text(text, encoding="utf-8")
+    # the report is the fit result's own fields, bar the knots
+    report = {"kind": payload["kind"], **{f.name: np.asarray(getattr(result, f.name)).tolist()
+                                          for f in fields(result) if f.name != "knots"}, **residual}
+    _check_finite(report)
+    flagged = [f"segment {i}: {name.replace('_', ' ')}" for name, value in report.items()
+               if np.asarray(value).dtype == bool for i in np.flatnonzero(value)]
+    _write_files((args.out_model, _json_text(payload)), (args.out_report, _json_text(report)))
     print(f"wrote {args.out_model}, {args.out_report}")
     if flagged and args.strict:
         print("strict mode: fit raised flags -> " + "; ".join(flagged), file=sys.stderr)
@@ -381,7 +379,7 @@ def _cmd_eval(args) -> int:
     _domain_points(model.knots, xs)
     # each slice is evaluated as it is written, so the evaluation overlaps
     # its formatting; the values are elementwise, the same as in one call
-    _write_rows(args.out, xs, lambda rows: model(xs[rows], *depth), "x,value")
+    _write_files((args.out, lambda out: _write_rows(out, xs, lambda rows: model(xs[rows], *depth), "x,value")))
     print(f"wrote {args.out} ({xs.size} points)")
     return 0
 
@@ -402,8 +400,6 @@ def _render_text(rows: list[dict]) -> str:
 def _cmd_compare(args) -> int:
     if args.all_examples:
         _refuse(args, ("series", "knots", "n", "window", "prominence"), "conflicts with --all-examples")
-        if args.knots_mode == "extrema":  # never None: "manual" is its default
-            raise UsageError("--knots-mode extrema conflicts with --all-examples")
         series, _ = normalize(gen_polynomial(10_000))
         knots = select_knots(series, "manual", indices=[500, 4000, 7500])
         name = "polynomial"

@@ -276,8 +276,9 @@ def select_knots(
 
     Mode ``manual`` takes 1-based interior sample ``indices`` (1 and M are
     reserved for the endpoints).  Mode ``extrema`` smooths the series with a
-    centered moving average of odd ``window`` length, finds local maxima and
-    minima with at least ``prominence``, and keeps the ``n_interior`` most
+    centered moving average of odd ``window`` length below 2M - 1 (a longer
+    one makes every series a straight line), finds local maxima and minima
+    with at least ``prominence``, and keeps the ``n_interior`` most
     prominent ones (ties broken toward smaller index).  If fewer candidates
     than requested are found, the fit proceeds with what exists, except that
     fewer than 2 candidates against a request of >= 2 is an error.
@@ -308,8 +309,8 @@ def select_knots(
     elif mode == "extrema":
         if n_interior is None or n_interior < 1:
             raise ValueError("extrema mode requires n_interior >= 1")
-        if window < 1 or window % 2 == 0:
-            raise ValueError("smoothing window must be a positive odd integer")
+        if window < 1 or window % 2 == 0 or window >= 2 * m_count - 1:
+            raise ValueError(f"smoothing window must be a positive odd integer below 2M - 1 = {2 * m_count - 1}")
         smoothed = _moving_average(series.w, window)
         peaks, proms = _prominent_peaks(smoothed, prominence, (1.0, -1.0))
         if peaks.size == 0 or (n_interior >= 2 and peaks.size < 2):

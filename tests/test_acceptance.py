@@ -347,13 +347,13 @@ def test_criterion_6_cli_determinism(tmp_path, capsys, acceptance_log):
          "--out-model", f"{d}/pm.json", "--out-report", f"{d}/pr.json"),
         ("fit", "--series", f"{d}/p.csv", "--method", "quadratic", "--knots", "200,400,600",
          "--out-model", f"{d}/qm.json", "--out-report", f"{d}/qr.json"),
-        ("fit", "--series", f"{d}/w.csv", "--knots-mode", "extrema", "--n", "5",
+        ("fit", "--series", f"{d}/w.csv", "--n", "5",
          "--window", "31", "--prominence", "0.01",
          "--out-model", f"{d}/wm.json", "--out-report", f"{d}/wr.json"),
         ("eval", "--model", f"{d}/pm.json", "--grid", "513", "--out", f"{d}/curve.csv"),
         ("eval", "--model", f"{d}/qm.json", "--at", f"{d}/p.csv", "--out", f"{d}/at.csv"),
         ("compare", "--series", f"{d}/p.csv", "--knots", "200,400,600", "--out", f"{d}/cmp.json"),
-        ("compare", "--series", f"{d}/w.csv", "--knots-mode", "extrema", "--n", "5",
+        ("compare", "--series", f"{d}/w.csv", "--n", "5",
          "--window", "31", "--prominence", "0.01", "--format", "json"),
         ("compare", "--all-examples", "--format", "json"),
     ]

@@ -177,7 +177,8 @@ class TestFit:
         assert report["degenerate"] == expected.degenerate.tolist()
 
     def test_series_is_read_once(self, poly_files, capsys, monkeypatch):
-        # the bytes parsed are the bytes hashed for the provenance
+        # fit reads the series file's bytes through pathlib once, and their
+        # SHA-256 is the provenance hash
         series, reads = poly_files / "poly.csv", []
         sha = hashlib.sha256(series.read_bytes()).hexdigest()
 
@@ -258,13 +259,37 @@ class TestFit:
         # artifacts are still written for inspection
         assert (tmp / "model.json").exists()
 
+    @pytest.mark.parametrize("method", ["fractal", "quadratic"])
+    def test_report_is_the_fit_fields(self, poly_files, capsys, method):
+        # kind, the fit result's own fields after the knots, and for a
+        # quadratic fit the residual sum of squares that cli computes
+        assert fit_poly(poly_files, capsys, "--method", method)[0] == 0
+        series = load_series_csv(poly_files / "poly.csv")
+        knots = select_knots(series, "manual", indices=[100, 200, 300])
+        result = fit_d_discrete(series, knots) if method == "fractal" else fit_quadratic(series, knots)
+        names = [f.name for f in dataclasses.fields(result) if f.name != "knots"]
+        report = json.loads((poly_files / "report.json").read_text())
+        computed = ["residual_rss"] if method == "quadratic" else []
+        assert sorted(report) == sorted(["kind", *names, *computed])
+        assert report["kind"] == method
+        assert all(report[name] == np.asarray(getattr(result, name)).tolist() for name in names)
+
+    def test_strict_reports_chord_fallback(self, tmp_path, capsys):
+        walk, model = tmp_path / "walk.csv", tmp_path / "m.json"
+        assert run(capsys, "gen", "--kind", "random-walk", "--m", "50000", "--out", str(walk))[0] == 0
+        code, _, err = run(capsys, "fit", "--series", str(walk), "--method", "quadratic",
+                           "--knots", "10000,10001,35000", "--strict",
+                           "--out-model", str(model), "--out-report", str(tmp_path / "r.json"))
+        assert (code, err) == (1, "strict mode: fit raised flags -> segment 1: chord fallback\n")
+        assert read_model_file(model)["parameters"]["chord_fallback"] == [False, True, False, False]
+
     def test_extrema_knot_spec(self, poly_files, capsys):
         tmp = poly_files
         code, _, _ = run(
             capsys,
             "fit",
             "--series", str(tmp / "poly.csv"),
-            "--knots-mode", "extrema", "--n", "3", "--window", "21", "--prominence", "0.01",
+            "--n", "3", "--window", "21", "--prominence", "0.01",
             "--out-model", str(tmp / "m2.json"),
             "--out-report", str(tmp / "r2.json"),
         )
@@ -280,10 +305,12 @@ class TestFit:
         model, report = str(tmp / "m.json"), str(tmp / "r.json")
         cases = [
             ("fit", "--series", series, "--out-model", model, "--out-report", report),
-            ("fit", "--series", series, "--knots-mode", "extrema",
+            ("fit", "--series", series, "--window", "21",
              "--out-model", model, "--out-report", report),
-            ("fit", "--series", series, "--knots-mode", "extrema", "--n", "3",
+            ("fit", "--series", series, "--n", "3",
              "--knots", "100", "--out-model", model, "--out-report", report),
+            ("fit", "--series", series, "--knots", ",",
+             "--out-model", model, "--out-report", report),
             ("fit", "--series", series, "--knots", "abc",
              "--out-model", model, "--out-report", report),
             ("fit", "--series", series, "--knots", "100,200", "--n", "5", "--window", "7",
@@ -852,6 +879,12 @@ class TestCompare:
         code, out, _ = run(capsys, *argv)
         assert code == 0 and json.loads(out)["rows"][0]["contraction_factor"] > 0.01
 
+    def test_window_over_the_series_is_data_error(self, poly_files):
+        # past 2^63 too, where smoothing would end in a numpy TypeError
+        code, err = fail_line(["compare", "--series", str(poly_files / "poly.csv"),
+                               "--n", "3", "--window", "99999999999999999999"])
+        assert (code, err) == (1, "error: smoothing window must be a positive odd integer below 2M - 1 = 799\n")
+
     def test_usage_errors(self, poly_files, capsys):
         tmp = poly_files
         assert run(capsys, "compare")[0] == 2
@@ -868,19 +901,49 @@ class TestCompare:
             2, "", "usage error: --series conflicts with --all-examples\n")
 
 
+@pytest.mark.parametrize("command", [("fit", "--out-model", "m.json", "--out-report", "r.json"), ("compare",)],
+                         ids=["fit", "compare"])
+def test_knots_mode_flag_is_gone(tmp_path, monkeypatch, capsys, command):
+    # which knots a fit takes follows from --knots or --n alone
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *command, "--series", "nope.csv", "--knots-mode", "extrema", "--n", "3")
+    assert code == 2 and err.endswith("error: unrecognized arguments: --knots-mode extrema\n"), err
+
+
+def test_failed_command_leaves_none_of_its_files(poly_files):
+    # a directory where the last file goes fails the command after its
+    # first files are written; they are removed, the directory is left
+    out = poly_files / "q"
+    out.mkdir()
+    for name in ("r.json", "w4.params.json"):
+        (out / name).mkdir()
+    argv = ["fit", "--series", str(poly_files / "poly.csv"), "--knots", "100,200",
+            "--out-model", str(out / "m.json"), "--out-report", str(out / "r.json")]
+    code, err = fail_line(argv)
+    assert code == 1 and err.startswith("error: ") and "r.json" in err, err
+    code, err = fail_line(["gen", "--kind", "random-walk", "--m", "100", "--out", str(out / "w4.csv")])
+    assert code == 1 and err.startswith("error: ") and "w4.params.json" in err, err
+    assert sorted(path.name for path in out.iterdir()) == ["r.json", "w4.params.json"]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
         (("fit", "--series", "nope.csv", "--out-model", "m.json", "--out-report", "r.json"),
-         "manual knot mode requires --knots with interior indices"),
-        (("compare", "--series", "nope.csv", "--knots-mode", "extrema"),
-         "extrema knot mode requires --n"),
+         "--knots or --n is required"),
+        (("compare", "--series", "nope.csv", "--prominence", "0.1"),
+         "--knots or --n is required"),
         (("compare", "--series", "nope.csv", "--knots", "1,2", "--window", "5"),
-         "--window applies only to --knots-mode extrema"),
-        (("compare", "--series", "nope.csv", "--knots-mode", "extrema", "--n", "3", "--knots", ""),
-         "--knots conflicts with --knots-mode extrema"),
+         "--window conflicts with --knots"),
+        (("compare", "--series", "nope.csv", "--n", "3", "--knots", ""),
+         "--n conflicts with --knots"),
+        (("compare", "--series", "nope.csv", "--knots", ""),
+         "--knots must be one or more comma-separated integers, got ''"),
+        (("fit", "--series", "nope.csv", "--knots", " , ", "--out-model", "m.json", "--out-report", "r.json"),
+         "--knots must be one or more comma-separated integers, got ' , '"),
     ],
-    ids=["fit-manual", "compare-extrema", "compare-window", "compare-extrema-empty-knots"],
+    ids=["fit-manual", "compare-extrema", "compare-window", "compare-extrema-empty-knots",
+         "compare-empty-knots", "fit-comma-knots"],
 )
 def test_knot_flags_checked_before_series_is_read(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)

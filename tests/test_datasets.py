@@ -547,6 +547,13 @@ class TestSelectKnotsExtrema:
         series = self.sine_series(200)
         with pytest.raises(ValueError, match="odd"):
             select_knots(series, "extrema", n_interior=2, window=10)
+        # from 2M - 1 samples on, every smoothed sample averages the whole
+        # series plus edge padding, a straight line: refused before smoothing
+        for window in (399, 401, 10**20 + 1):
+            with pytest.raises(ValueError, match=r"odd integer below 2M - 1 = 399$"):
+                select_knots(series, "extrema", n_interior=2, window=window)
+        with pytest.raises(ValueError, match="found only 0 interior extrema"):
+            select_knots(series, "extrema", n_interior=2, window=397)
         with pytest.raises(ValueError, match="n_interior"):
             select_knots(series, "extrema")
 
