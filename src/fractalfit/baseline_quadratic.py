@@ -45,10 +45,9 @@ class QuadModel:
     chord_fallback: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in (("curvature", float), ("chord_fallback", bool)):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), name, dtype))
-        if not self.knots.n_segments == self.curvature.size == self.chord_fallback.size:
-            raise ValueError("per-segment arrays must have one entry per segment")
+        for name, noun, dtype in (("curvature", "curvatures", float),
+                                  ("chord_fallback", "chord fallback flags", bool)):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), noun, dtype, self.knots.n_segments))
 
     def __call__(self, x):
         return evaluate_quad(self, x)

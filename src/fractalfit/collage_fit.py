@@ -68,11 +68,9 @@ class FitReport:
     collage_bound: float
 
     def __post_init__(self):
-        for name, noun, dtype in (("d", "scaling factors", float),
-                                  ("clamped", "clamped", bool), ("degenerate", "degenerate", bool)):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name), noun, dtype))
-        if not self.d.size == self.clamped.size == self.degenerate.size:
-            raise ValueError("report arrays differ in length")
+        object.__setattr__(self, "d", _frozen_array(self.d, "scaling factors"))
+        for name in ("clamped", "degenerate"):
+            object.__setattr__(self, name, _frozen_array(getattr(self, name), f"{name} flags", bool, self.d.size))
 
 
 def piecewise_constant_extension(series: Series) -> Callable:
@@ -132,10 +130,6 @@ def fit_d_discrete(
 
 def collage_residual(series: Series, knots: Knots, d: Sequence[float]) -> float:
     """The objective R(d) = sum_m (w_m - (Phi g)(z_m))^2 for given scalings."""
-    d_arr = np.asarray(d, dtype=float)
-    if d_arr.ndim != 1 or d_arr.size != knots.n_segments:
-        raise ValueError(
-            f"expected {knots.n_segments} scaling factors, got {d_arr.size}"
-        )
+    d_arr = _frozen_array(d, "scaling factors", size=knots.n_segments)
     _, seg, alpha, basis = _collage_terms(series, knots)
     return _rss(series.w, lambda r: alpha[r] - d_arr.take(seg[r]) * basis[r])

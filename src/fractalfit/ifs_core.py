@@ -48,11 +48,13 @@ MAX_LEVELS = 10_000  # most levels default_depth allows before refusing a model
 _CHUNK = 1 << 14  # samples per block of a per-sample pass: its arrays (128 KiB each) stay in cache
 
 
-def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
-    """A read-only one-dimensional copy of ``values``, checked finite."""
+def _frozen_array(values, name: str, dtype=float, size: int | None = None) -> np.ndarray:
+    """A read-only one-dimensional copy of ``values``, checked finite and ``size`` long if given."""
     arr = np.array(values, dtype=dtype)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
+    if size is not None and arr.size != size:
+        raise ValueError(f"expected {size} {name}, got {arr.size}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     arr.setflags(write=False)
@@ -72,9 +74,7 @@ class _SortedPairs:
     def __post_init__(self):
         xname, yname = (field.name for field in fields(self))
         x = _frozen_array(getattr(self, xname), f"{self._NOUN} abscissae")
-        y = _frozen_array(getattr(self, yname), f"{self._NOUN} ordinates")
-        if x.size != y.size:
-            raise ValueError(f"{self._NOUN} abscissae and ordinates differ in length")
+        y = _frozen_array(getattr(self, yname), f"{self._NOUN} ordinates", size=x.size)
         if x.size < self._MIN_COUNT:
             raise ValueError(self._TOO_FEW)
         with np.errstate(over="ignore"):  # an overflowing difference is reported below
@@ -230,13 +230,10 @@ class FifModel:
     d: np.ndarray
 
     def __post_init__(self):
-        n = self.knots.n_segments
-        d = np.asarray(self.d, dtype=float)
-        if d.ndim != 1 or d.size != n:
-            raise ValueError(f"expected {n} scaling factors, got {d.size}")
+        d = _frozen_array(self.d, "scaling factors", size=self.knots.n_segments)
         if np.any(np.abs(d) >= 1.0):
             raise ValueError("vertical scalings must satisfy |d_i| < 1")
-        object.__setattr__(self, "d", _frozen_array(d, "scaling factors"))
+        object.__setattr__(self, "d", d)
 
     def __call__(self, x, depth: int | None = None):
         return evaluate_fif(self, x, depth)

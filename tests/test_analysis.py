@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 
 from fractalfit import (
@@ -12,6 +14,7 @@ from fractalfit import (
     gen_random_walk,
     normalize,
     rms_error,
+    segment_indices,
     select_knots,
 )
 from fractalfit.ifs_core import TOL
@@ -121,3 +124,28 @@ def test_quintic_benchmark_row(poly_pipeline):
     row = compare(series, knots, name="polynomial")
     assert row.quadratic_rms < row.fractal_rms <= row.collage_bound
     np.testing.assert_allclose(row.contraction_factor, 0.156, atol=5e-4)
+
+
+def test_criterion_2_account_in_readme(poly_pipeline):
+    # README's "Why criterion 2 fails": no power mean of the residual has the
+    # targets' fractal / quadratic ratio, and per segment the fits set it
+    series, knots, _ = poly_pipeline
+    fractal = np.abs(series.w - build_model(knots, fit_d_discrete(series, knots).d)(series.z))
+    quadratic = np.abs(series.w - fit_quadratic(series, knots)(series.z))
+
+    def power_mean(e, p):
+        return np.max(e) if p == np.inf else np.mean(e**p) ** (1 / p)
+
+    powers = (0.25, 0.5, 1, 1.5, 2, 3, 4, 8, np.inf)
+    ratios = [power_mean(fractal, p) / power_mean(quadratic, p) for p in powers]
+    row = " | ".join(f"{r:.3f}" for r in ratios)
+    assert row == "1.260 | 1.232 | 1.219 | 1.227 | 1.241 | 1.272 | 1.295 | 1.332 | 1.307"
+    seg = segment_indices(knots, series.z)
+    per_segment = [power_mean(fractal[seg == i], 2) / power_mean(quadratic[seg == i], 2) for i in range(4)]
+    assert [f"{r:.2f}" for r in per_segment] == ["25.83", "1.24", "0.96", "2.16"]
+    target = 0.0359037 / 0.0245094
+    assert f"{target:.3f}" == "1.465" and all(r < 0.91 * target for r in ratios)
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for quoted in (f"| ratio | {row} |", "0.0359037 / 0.0245094 = 1.465", "25.83, 1.24, 0.96 and 2.16"):
+        assert quoted in readme

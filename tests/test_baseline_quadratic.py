@@ -248,7 +248,7 @@ def test_scalar_in_scalar_out():
 
 def test_model_validates_array_lengths():
     knots = Knots.from_points([(0, 0), (1, 1), (2, 0)])
-    with pytest.raises(ValueError, match="per segment"):
+    with pytest.raises(ValueError, match="^expected 2 curvatures, got 3$"):
         QuadModel(knots=knots, curvature=np.zeros(3), chord_fallback=np.zeros(3, bool))
 
 

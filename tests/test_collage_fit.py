@@ -71,7 +71,7 @@ class TestSeries:
 
 
 def test_fit_report_rejects_ragged_arrays():
-    with pytest.raises(ValueError, match="report arrays differ in length"):
+    with pytest.raises(ValueError, match="^expected 2 clamped flags, got 1$"):
         FitReport(
             d=[0.1, 0.2],
             clamped=[False],

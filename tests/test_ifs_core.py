@@ -1,4 +1,7 @@
+import re
 import warnings
+from bisect import bisect_right
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import strategies as st
 
 from fractalfit import (
     FifModel,
+    FitReport,
     Knots,
+    QuadModel,
     Series,
     build_model,
     collage_residual,
@@ -163,6 +168,32 @@ class TestKnots:
     def test_from_points_rejects_non_pairs(self, points):
         with pytest.raises(ValueError):
             Knots.from_points(points)
+
+
+TENT_KNOTS = Knots.from_points([(0, 0), (1, 1), (2, 0)])
+TENT_SERIES = Series(TENT_KNOTS.x, TENT_KNOTS.y)
+
+
+@pytest.mark.parametrize("make, name, size, length_error", [
+    (lambda v: Knots([0.0, 1.0, 2.0], v), "knot ordinates", 3, None),
+    (lambda v: Series([0.0, 1.0, 2.0], v), "series ordinates", 3, None),
+    (lambda v: FifModel(TENT_KNOTS, v), "scaling factors", 2, None),
+    (lambda v: QuadModel(TENT_KNOTS, v, [False, False]), "curvatures", 2, None),
+    # the flags are sized by d, so a d one too long is refused by them
+    (lambda v: FitReport(v, [False, False], [False, False], 0.0, 0.25, 0.0), "scaling factors", 2,
+     "expected 3 clamped flags, got 2"),
+    (lambda v: collage_residual(TENT_SERIES, TENT_KNOTS, v), "scaling factors", 2, None),
+], ids=["Knots", "Series", "FifModel", "QuadModel", "FitReport", "collage_residual"])
+def test_stored_arrays_share_one_length_rule(make, name, size, length_error):
+    good = [0.25] * size
+    make(good)
+    for values, message in (
+        (good + [0.25], length_error or f"expected {size} {name}, got {size + 1}"),
+        ([[v] for v in good], f"{name} must be one-dimensional"),
+        ([np.nan] + good[1:], f"{name} contains non-finite values"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(values)
 
 
 class TestBuildModel:
@@ -494,6 +525,112 @@ class TestEvaluate:
         deep = fixed_depth_reference(model, xs, int(np.log(1e-14) / np.log(c)) + 600)
         assert np.max(np.abs(evaluate_fif(model, xs) - deep)) <= TOL + 1e-11
         np.testing.assert_allclose(evaluate_fif(model, knots.x), knots.y, rtol=0, atol=1e-12)
+
+
+def exact_attractor(model, x) -> Fraction:
+    """f*(x) in exact arithmetic, for a model with integer knots, power-of-two
+    widths summing to a power of two, and y_k, d_i in multiples of 1/64 with
+    |d_i| <= 63/64; ``x`` is a double or a Fraction in [a, b].
+
+    gamma_i scales x - x_{i-1} by the power of two (b - a) / width_i, so
+    each level shrinks the power of two in x's denominator and keeps its odd
+    part: the orbit x_0, x_1, ... stays in a finite set of rationals in
+    [a, b] and repeats (a double's orbit reaches the integers).  Along it f*(x_j) = c_j + d_j f*(x_{j+1}) with
+    c_j = alpha(x_j) - d_j beta(x_j) (segments half-open, the last closed), so
+    the cycle gives its first point's value by one division, and the values
+    before the cycle follow back to f*(x_0)."""
+    kx = [int(v) for v in model.knots.x]
+    ky = [Fraction(float(v)) for v in model.knots.y]
+    d = [Fraction(float(v)) for v in model.d]
+    span = kx[-1] - kx[0]
+    assert kx == model.knots.x.tolist()
+    assert all(w & (w - 1) == 0 for w in np.diff(kx).tolist()) and span & (span - 1) == 0
+    assert all((64 * v).denominator == 1 for v in ky + d) and max(map(abs, d)) <= Fraction(63, 64)
+    x = Fraction(x)
+    assert kx[0] <= x <= kx[-1]
+    seen, steps = {}, []  # each orbit point's position; (c_j, d_j) along the orbit
+    while x not in seen:
+        seen[x] = len(steps)
+        i = bisect_right(kx, x, 1, len(kx) - 1) - 1
+        t = (x - kx[i]) / (kx[i + 1] - kx[i])
+        alpha, beta = ky[i] + (ky[i + 1] - ky[i]) * t, ky[0] + (ky[-1] - ky[0]) * t
+        steps.append((alpha - d[i] * beta, d[i]))
+        x = kx[0] + t * span  # gamma_i(x)
+    cycle = seen[x]
+    value, gain = Fraction(0), Fraction(1)  # f*(x_cycle) = value + gain * f*(x_cycle)
+    for c, di in reversed(steps[cycle:]):
+        value, gain = c + di * value, di * gain
+    value /= 1 - gain
+    for c, di in reversed(steps[:cycle]):
+        value = c + di * value
+    return value
+
+
+def dyadic_model(rng, d=None):
+    """A model :func:`exact_attractor` takes: 2-6 segments from halving a
+    span of 8-32 at random, shifted by an integer, with y_k in [-2, 2] and
+    d_i in [-63/64, 63/64] drawn in steps of 1/64 unless ``d`` is given."""
+    n, widths = int(rng.integers(2, 7)), [1 << int(rng.integers(3, 6))]
+    while len(widths) < n:
+        k = rng.choice(np.flatnonzero(np.array(widths) > 1))
+        widths[k:k + 1] = [widths[k] // 2] * 2
+    x = int(rng.integers(-8, 9)) + np.cumsum([0] + widths)
+    d = rng.integers(-63, 64, n) / 64 if d is None else d
+    return build_model(Knots(x.astype(float), rng.integers(-128, 129, n + 1) / 64), d)
+
+
+class TestExactAttractor:
+    """:func:`evaluate_fif` against an exact oracle rather than against
+    deeper runs of itself."""
+
+    def test_oracle_closed_forms(self):
+        rng = np.random.default_rng(40)
+        for _ in range(10):
+            model = dyadic_model(rng)
+            kx = model.knots.x.astype(int).tolist()
+            ky = [Fraction(float(v)) for v in model.knots.y]
+            polyline = build_model(model.knots, np.zeros(model.knots.n_segments))
+            # d = 0: the polyline through the knots
+            for x in [Fraction(float(v)) for v in rng.uniform(kx[0], kx[-1], 20)] + kx:
+                i = bisect_right(kx, x, 1, len(kx) - 1) - 1
+                t = (x - kx[i]) / (kx[i + 1] - kx[i])
+                assert exact_attractor(polyline, x) == ky[i] + (ky[i + 1] - ky[i]) * t
+            # the fixed point x* of map i, where gamma_i(x*) = x*
+            span = kx[-1] - kx[0]
+            for i, di in enumerate(Fraction(float(v)) for v in model.d):
+                width = kx[i + 1] - kx[i]
+                x = Fraction(kx[i] * span - kx[0] * width, span - width)
+                t = (x - kx[i]) / width
+                alpha, beta = ky[i] + (ky[i + 1] - ky[i]) * t, ky[0] + (ky[-1] - ky[0]) * t
+                assert exact_attractor(model, x) == (alpha - di * beta) / (1 - di)
+
+    def test_default_evaluation_is_within_tol(self):
+        # TOL bounds the truncation; 1e-12 is allowed for rounding in the
+        # accumulated double arithmetic, which the certificate does not count
+        rng = np.random.default_rng(41)
+        worst = 0.0
+        for case in range(30):
+            model = dyadic_model(rng)
+            if case == 0:
+                model = build_model(model.knots, np.full(model.knots.n_segments, 63 / 64))
+            a, b = model.knots.a, model.knots.b
+            xs = np.concatenate([rng.uniform(a, b, 20), np.round(rng.uniform(a, b, 20) * 1024) / 1024,
+                                 model.knots.x])
+            for x, value in zip(xs, evaluate_fif(model, xs)):
+                worst = max(worst, abs(float(Fraction(float(value)) - exact_attractor(model, x))))
+        assert worst <= TOL + 1e-12
+
+    def test_rounded_abscissa_moves_a_rough_value(self):
+        # 8/3 is the fixed point of the middle map (d = 0.890625, a quarter
+        # of the span), where the attractor's Hoelder exponent is about
+        # log(0.890625) / log(1/4) = 0.08: rounding 8/3 to a double moves f*
+        # by 0.40, and evaluation is right at the double it is given
+        model = build_model(Knots(np.array([0.0, 2.0, 4.0, 8.0]), np.array([0.0, 1.0, 1.0, 0.0])),
+                            [-0.4375, 0.890625, 0.8125])
+        at_double = exact_attractor(model, 8 / 3)
+        assert exact_attractor(model, Fraction(8, 3)) == Fraction(64, 7)
+        assert f"{float(Fraction(64, 7) - at_double):.2f}" == "0.40"
+        assert abs(evaluate_fif(model, 8 / 3) - float(at_double)) <= TOL
 
 
 class TestBlocks:
