@@ -58,16 +58,13 @@ class UsageError(Exception):
 
 
 def _read(path, parse):
-    """``parse(path)``: the one boundary every input file passes through.  A
-    ValueError it raises, or the RecursionError of too deeply nested JSON,
-    becomes a ValueError naming ``path`` exactly once."""
+    """``parse(path)``: the one boundary every input file passes through, and
+    the one place a message names a file.  A ValueError it raises, or the
+    RecursionError of too deeply nested JSON, becomes ``{path}: {message}``."""
     try:
         return parse(path)
     except (ValueError, RecursionError) as exc:
-        message = str(exc)
-        if not message.startswith(f"{path}: "):
-            message = f"{path}: {message}"
-        raise ValueError(message) from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +328,7 @@ def _cmd_fit(args) -> int:
         _refuse(args, ("d-max",), "applies only to --method fractal")
     selection = _knot_selection(args)
     raw = Path(args.series).read_bytes()  # parsed (numpy rereads a regular file), then hashed
-    series = _read(args.series, lambda path: Series(*_read_columns(path, 2, raw)))
+    series = _read(args.series, lambda path: Series(*_read_columns(path, raw)))
     knots = select_knots(series, **selection)
     normalization = _read(args.norm_params, _parse_normalization) if args.norm_params else None
 
@@ -363,15 +360,14 @@ def _cmd_eval(args) -> int:
         raise UsageError("exactly one of --grid or --at is required")
     if args.grid is not None and args.grid < 2:
         raise UsageError("--grid must be >= 2")
-    payload = _read(args.model, read_model_file)
-    if _KINDS[payload["kind"]] is not FifModel:
+    # reading and building check the file in one pass, so each error names it
+    model = _read(args.model, lambda path: model_from_payload(read_model_file(path)))
+    if not isinstance(model, FifModel):
         _refuse(args, ("depth",), "applies only to fractal models")
-    # building checks the knots and the parameter values, so their errors name the file too
-    model = _read(args.model, lambda _: model_from_payload(payload))
     if args.grid is not None:
         xs = np.linspace(model.knots.a, model.knots.b, args.grid)
     else:
-        xs = _read(args.at, lambda path: _read_columns(path, 1)[0])
+        xs = _read(args.at, lambda path: _read_columns(path)[0])
     depth = () if args.depth is None else (args.depth,)
     # before the file opens, the refusals no point causes (a default depth
     # over MAX_LEVELS, or a depth below 0), then any point outside the domain

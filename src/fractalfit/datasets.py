@@ -98,25 +98,23 @@ def load_series_csv(path: str | PathLike) -> Series:
     or two columns (z, w).  An optional single header line is detected by a
     non-numeric first field.  Blank lines are skipped; line numbers in error
     messages count every line of the file."""
-    return Series(*_read_columns(path, 2))
+    return Series(*_read_columns(path))
 
 
-def _read_columns(
-    path, min_rows: int, raw: bytes | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The (z, w) columns of at least ``min_rows`` finite rows, by the rules
-    of :func:`load_series_csv` bar the order of z; ``raw`` is the file's
-    bytes when the caller has read them.  numpy's reader takes a subset of
-    the spellings of ``float()``, to the same values; the scan reads what it
-    declines and reports a row or column count out of rule."""
+def _read_columns(path, raw: bytes | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The (z, w) columns of one or more finite rows, by the rules of
+    :func:`load_series_csv` bar the order of z and the sample count; ``raw``
+    is the file's bytes when the caller has read them.  numpy's reader takes
+    a subset of the spellings of ``float()``, to the same values; the scan
+    reads what it declines.  No message names the file: the caller does."""
     text = (Path(path).read_bytes() if raw is None else raw).decode("utf-8")
     data = _fast_rows(path, text)
-    if data is None or data.shape[0] < min_rows or data.shape[1] > 2:
-        data = _scan_rows(path, text, min_rows)
+    if data is None or data.shape[1] > 2:
+        data = _scan_rows(text)
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         lineno, _ = _numbered_data_lines(text)[int(np.argmin(finite))]
-        raise ValueError(f"{path}: non-finite value on line {lineno}")
+        raise ValueError(f"non-finite value on line {lineno}")
     if data.shape[1] == 1:
         return np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0]
     return data[:, 0], data[:, 1]
@@ -159,10 +157,10 @@ def _numbered_data_lines(text: str) -> list[tuple[int, str]]:
     return numbered
 
 
-def _scan_rows(path, text: str, min_rows: int) -> np.ndarray:
+def _scan_rows(text: str) -> np.ndarray:
     """The cells of ``text``, one Python ``float()`` each, as a (rows, 1 or
     2) array.  Raises for the first data line with a non-numeric cell or a
-    bad column count, then for fewer than ``min_rows`` rows."""
+    bad column count, then for no rows at all."""
     values: list[float] = []
     columns = None
     for lineno, line in _numbered_data_lines(text):
@@ -170,14 +168,12 @@ def _scan_rows(path, text: str, min_rows: int) -> np.ndarray:
         try:
             values.extend(map(float, cells))
         except ValueError:
-            raise ValueError(f"{path}: non-numeric value on line {lineno}") from None
+            raise ValueError(f"non-numeric value on line {lineno}") from None
         if len(cells) not in (1, 2) or columns not in (None, len(cells)):
-            raise ValueError(
-                f"{path}: expected 1 or 2 columns, got {len(cells)} on line {lineno}"
-            )
+            raise ValueError(f"expected 1 or 2 columns, got {len(cells)} on line {lineno}")
         columns = len(cells)
-    if len(values) < min_rows * (columns or 1):
-        raise ValueError(f"{path}: need at least {min_rows} data row{'s' * (min_rows > 1)}")
+    if not values:
+        raise ValueError("no data rows")
     return np.array(values).reshape(-1, columns)
 
 

@@ -51,6 +51,8 @@ _CHUNK = 1 << 14  # samples per block of a per-sample pass: its arrays (128 KiB 
 def _frozen_array(values, name: str, dtype=float, size: int | None = None) -> np.ndarray:
     """A read-only one-dimensional copy of ``values``, checked finite and ``size`` long if given."""
     arr = np.array(values, dtype=dtype)
+    if dtype is bool and np.asarray(values).dtype != bool:
+        raise ValueError(f"{name} must be booleans")
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if size is not None and arr.size != size:
@@ -427,12 +429,12 @@ def _certificate(model: FifModel) -> tuple[int, float]:
     gap = ||Phi b0 - b0||_inf = max_k |y_k - b0(x_k)| (beta_i is b0 o gamma_i,
     so Phi b0 is the polyline through the knots), b0 lies within
     B = gap / (1 - c) of the attractor g* (Barnsley, Constr. Approx. 1986).
-    D is the smallest depth with c^D * B <= TOL, taken in logs; the floor is
-    TOL * (1 - c) / gap, which is TOL / B without forming B (0 at D = 0).
-    Raises ValueError when D exceeds ``MAX_LEVELS``."""
+    D is 0 at gap = 0, where b0 is the attractor, else the smallest D >= 1
+    with c^D * B <= TOL, taken in logs; the floor TOL * (1 - c) / gap is
+    TOL / B without forming B; D over ``MAX_LEVELS`` raises ValueError."""
     knots, c = model.knots, model.contraction_factor
     gap = float(np.max(np.abs(knots.y - _chord_b0(knots, knots.x))))
-    if gap / (1.0 - c) <= TOL:
+    if gap == 0.0:
         return 0, 0.0
     with np.errstate(divide="ignore"):  # log(0) = -inf: c == 0 takes max(1, 0) = 1 level
         depth = max(1, int(np.ceil((np.log(gap) - np.log1p(-c) - np.log(TOL)) / -np.log(c))))

@@ -977,6 +977,7 @@ def run_on_bad_file(tmp: Path, name: str, text: str, command: str) -> tuple[int,
     out, ok = str(tmp / "out"), str(tmp / "ok.csv")
     argv = {
         "eval": ("eval", "--model", bad, "--grid", "5", "--out", out),
+        "eval-depth": ("eval", "--model", bad, "--grid", "5", "--depth", "3", "--out", out),
         "at": ("eval", "--model", tmp / "tent.json", "--at", bad, "--out", out),
         "fit": ("fit", "--series", bad, "--knots", "2", "--out-model", out, "--out-report", out),
         "compare": ("compare", "--series", bad, "--knots", "2"),
@@ -988,23 +989,32 @@ def run_on_bad_file(tmp: Path, name: str, text: str, command: str) -> tuple[int,
 
 
 @pytest.mark.parametrize(
-    "name, text, command",
+    "name, text, command, message",
     [
-        ("order.json", _TENT.replace("[0.5, 0.5], [1.0", "[1.5, 0.5], [1.0"), "eval"),
-        ("scale.json", _TENT.replace('"d": [0.5, 0.5]', '"d": [0.5, 1.0]'), "eval"),
-        ("syntax.json", _TENT[:-7], "eval"),
-        ("deep.json", "[" * 100_000 + "]" * 100_000, "eval"),
-        ("order.csv", "1,0\n3,1\n2,2\n", "fit"),
-        ("order.csv", "1,0\n3,1\n2,2\n", "compare"),
-        ("nan.csv", "0,0\nnan,1\n", "at"),
-        ("header.csv", "x,value\n", "at"),
-        ("seq.fasta", ">x\nACGTNA\n", "gen"),
+        ("order.json", _TENT.replace("[0.5, 0.5], [1.0", "[1.5, 0.5], [1.0"), "eval", None),
+        ("scale.json", _TENT.replace('"d": [0.5, 0.5]', '"d": [0.5, 1.0]'), "eval", None),
+        ("syntax.json", _TENT[:-7], "eval", None),
+        ("deep.json", "[" * 100_000 + "]" * 100_000, "eval", None),
+        ("order.csv", "1,0\n3,1\n2,2\n", "fit", None),
+        ("order.csv", "1,0\n3,1\n2,2\n", "compare", None),
+        ("nan.csv", "0,0\nnan,1\n", "at", "non-finite value on line 2"),
+        ("header.csv", "x,value\n", "at", "no data rows"),
+        ("seq.fasta", ">x\nACGTNA\n", "gen", None),
+        ("one.csv", "z,w\n1,0\n", "fit", "need at least 2 samples"),
+        ("empty.csv", "", "compare", "no data rows"),
+        # the file is read and built before --depth is refused, so its own error comes first
+        ("quad.json", json.dumps(tent_payload("quadratic")).replace("[0.5, 0.5], [1.0", "[1.5, 0.5], [1.0"),
+         "eval-depth", "knot abscissae must be strictly increasing"),
     ],
     ids=["knot-order", "d-range", "json-syntax", "json-depth", "series-order", "compare-order",
-         "at-non-finite", "at-no-rows", "nucleotide"],
+         "at-non-finite", "at-no-rows", "nucleotide", "series-one-row", "series-no-rows",
+         "quadratic-depth-knot-order"],
 )
-def test_bad_input_file_is_named_once(tmp_path, name, text, command):
-    assert_names_file_once(*run_on_bad_file(tmp_path, name, text, command), tmp_path / name)
+def test_bad_input_file_is_named_once(tmp_path, name, text, command, message):
+    code, err = run_on_bad_file(tmp_path, name, text, command)
+    assert_names_file_once(code, err, tmp_path / name)
+    if message is not None:
+        assert err == f"error: {tmp_path / name}: {message}\n"
 
 
 def _tent_with_knots(points) -> str:

@@ -33,7 +33,8 @@ def oracle_load_series_csv(path):
 
     The rules and messages of the loop are those load_series_csv keeps; the
     non-finite check after it is the one rule added to them, and it runs
-    only once every line is well formed and at least 2 rows exist."""
+    only once every line is well formed and a row exists.  No message names
+    the file, and the 2-sample rule is left to Series."""
     text = Path(path).read_text(encoding="utf-8")
     rows: list[list[float]] = []
     linenos: list[int] = []
@@ -52,16 +53,16 @@ def oracle_load_series_csv(path):
             except ValueError:
                 if header_candidate:
                     continue
-            raise ValueError(f"{path}: non-numeric value on line {lineno}")
+            raise ValueError(f"non-numeric value on line {lineno}")
         if len(values) not in (1, 2) or (rows and len(values) != len(rows[-1])):
-            raise ValueError(f"{path}: expected 1 or 2 columns, got {len(values)} on line {lineno}")
+            raise ValueError(f"expected 1 or 2 columns, got {len(values)} on line {lineno}")
         rows.append(values)
         linenos.append(lineno)
-    if len(rows) < 2:
-        raise ValueError(f"{path}: need at least 2 data rows")
+    if not rows:
+        raise ValueError("no data rows")
     for lineno, values in zip(linenos, rows):
         if not all(math.isfinite(v) for v in values):
-            raise ValueError(f"{path}: non-finite value on line {lineno}")
+            raise ValueError(f"non-finite value on line {lineno}")
     data = np.array(rows)
     if data.shape[1] == 1:
         return Series(np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0])
@@ -265,6 +266,24 @@ class TestLoadSeriesCsv:
         with pytest.raises(ValueError, match=f"non-finite value on line {lineno}$"):
             load_series_csv(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("value\n1.0\noops\n", "non-numeric value on line 3"),
+            ("1,2\n3\n", "expected 1 or 2 columns, got 1 on line 2"),
+            ("1\ninf\n", "non-finite value on line 2"),
+            ("z,w\n\n", "no data rows"),
+            ("z,w\n1,2\n", "need at least 2 samples"),
+        ],
+    )
+    def test_errors_do_not_name_the_file(self, tmp_path, text, message):
+        # the CLI's input boundary names the file; the library never does
+        path = tmp_path / "named.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_series_csv(path)
+        assert str(info.value) == message
+
     @given(text=csv_texts())
     @settings(max_examples=400, deadline=None)
     def test_matches_per_line_oracle(self, tmp_path_factory, text):
@@ -276,16 +295,18 @@ class TestLoadSeriesCsv:
 def parent_load_series_csv(path):
     """The loader as it stood before numpy's own reader took its fast path:
     one numpy conversion of the joined cells, and the per-line scan for
-    errors.  Kept as the reference the loader must match bit for bit."""
+    errors.  Kept as the reference the loader must match bit for bit, under
+    the loader's present rules: no message names the file, and the 2-sample
+    rule is left to Series."""
     text = Path(path).read_text(encoding="utf-8")
     data = _parent_parse_rows(text)
     if data is None:
-        _parent_raise_line_fault(path, text)
-        raise ValueError(f"{path}: need at least 2 data rows")
+        _parent_raise_line_fault(text)
+        raise ValueError("no data rows")
     finite = np.isfinite(data).all(axis=1)
     if not finite.all():
         lineno, _ = _parent_numbered_data_lines(text)[int(np.argmin(finite))]
-        raise ValueError(f"{path}: non-finite value on line {lineno}")
+        raise ValueError(f"non-finite value on line {lineno}")
     if data.shape[1] == 1:
         return Series(np.arange(1, data.shape[0] + 1, dtype=float), data[:, 0])
     return Series(data[:, 0], data[:, 1])
@@ -304,7 +325,7 @@ def _parent_parse_rows(text):
     if lines and _parent_is_header(lines[0]):
         del lines[0]
     commas = set(map(str.count, lines, itertools.repeat(",")))
-    if len(lines) < 2 or commas not in ({0}, {1}):
+    if not lines or commas not in ({0}, {1}):
         return None
     cells = ",".join(lines).split(",")
     try:
@@ -321,7 +342,7 @@ def _parent_numbered_data_lines(text):
     return numbered
 
 
-def _parent_raise_line_fault(path, text):
+def _parent_raise_line_fault(text):
     columns = None
     for lineno, line in _parent_numbered_data_lines(text):
         cells = line.split(",")
@@ -329,11 +350,9 @@ def _parent_raise_line_fault(path, text):
             for cell in cells:
                 float(cell)
         except ValueError:
-            raise ValueError(f"{path}: non-numeric value on line {lineno}") from None
+            raise ValueError(f"non-numeric value on line {lineno}") from None
         if len(cells) not in (1, 2) or columns not in (None, len(cells)):
-            raise ValueError(
-                f"{path}: expected 1 or 2 columns, got {len(cells)} on line {lineno}"
-            )
+            raise ValueError(f"expected 1 or 2 columns, got {len(cells)} on line {lineno}")
         columns = len(cells)
 
 

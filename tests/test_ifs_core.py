@@ -183,14 +183,22 @@ TENT_SERIES = Series(TENT_KNOTS.x, TENT_KNOTS.y)
     (lambda v: FitReport(v, [False, False], [False, False], 0.0, 0.25, 0.0), "scaling factors", 2,
      "expected 3 clamped flags, got 2"),
     (lambda v: collage_residual(TENT_SERIES, TENT_KNOTS, v), "scaling factors", 2, None),
-], ids=["Knots", "Series", "FifModel", "QuadModel", "FitReport", "collage_residual"])
+    (lambda v: QuadModel(TENT_KNOTS, [0.5, -0.5], v), "chord fallback flags", 2, None),
+    (lambda v: FitReport([0.5, 0.5], v, [False, False], 0.0, 0.25, 0.0), "clamped flags", 2, None),
+    (lambda v: FitReport([0.5, 0.5], [False, False], v, 0.0, 0.25, 0.0), "degenerate flags", 2, None),
+], ids=["Knots", "Series", "FifModel", "QuadModel", "FitReport", "collage_residual",
+        "QuadModel-chord_fallback", "FitReport-clamped", "FitReport-degenerate"])
 def test_stored_arrays_share_one_length_rule(make, name, size, length_error):
-    good = [0.25] * size
+    flags = name.endswith(" flags")
+    good = [False if flags else 0.25] * size
     make(good)
+    # a flag array takes booleans only: a number or a string is not cast to one
+    not_entries = [[np.nan] + good[1:], *([[0] * size, ["no", ""]] if flags else [])]
+    not_an_entry = f"{name} must be booleans" if flags else f"{name} contains non-finite values"
     for values, message in (
-        (good + [0.25], length_error or f"expected {size} {name}, got {size + 1}"),
+        (good + good[:1], length_error or f"expected {size} {name}, got {size + 1}"),
         ([[v] for v in good], f"{name} must be one-dimensional"),
-        ([np.nan] + good[1:], f"{name} contains non-finite values"),
+        *((values, not_an_entry) for values in not_entries),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(values)
@@ -715,9 +723,16 @@ class TestDepthAndResidual:
         for explicit, curve in values.items():
             assert np.all(np.isfinite(curve)), explicit
         miss = np.max(np.abs(values[None][:knots.x.size] - knots.y))
-        # from depth 1 on every knot is hit up to rounding; depth 0 (knots
-        # within TOL * (1 - c) of the chord) is b0, still within TOL
-        assert miss <= (1e-12 * np.max(np.abs(knots.y)) if depth else TOL)
+        # from depth 1 on every knot is hit up to rounding; depth 0 is taken
+        # only when every knot lies on b0, which then hits them all exactly
+        assert miss <= 1e-12 * np.max(np.abs(knots.y)), depth
+
+    def test_knots_near_the_chord_are_hit(self):
+        # the middle knot is 1e-10 off the chord, closer than TOL: one level
+        # still passes through it, where b0 would miss it by 1e-10
+        model = build_model(Knots.from_points([(0, 0), (0.5, 1e-10), (1, 0)]), [0.5, 0.5])
+        assert default_depth(model) == 1
+        assert evaluate_fif(model, 0.5) == 1e-10
 
     def test_collinear_knots_need_no_levels(self):
         model = build_model(Knots.from_points([(0, 1), (1, 2), (3, 4)]), [0.9, -0.9])

@@ -92,6 +92,31 @@ def test_blas_guard_sees_each_form():
     assert blas_uses("np.sum(np.square(r, out=r))") == []
 
 
+def path_messages(source: str) -> list[str]:
+    """``line N`` for each ``raise`` in ``source`` whose exception reads a
+    name ``path``: an f-string, ``%`` or ``.format`` message that formats it."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(n, ast.Name) and n.id == "path" for n in ast.walk(node.exc))]
+
+
+def test_only_cli_names_a_file():
+    # cli._read puts the file in front of every input error; a library
+    # message that named it too would name it twice
+    for path in sorted(Path(fractalfit.__file__).parent.glob("*.py")):
+        if path.stem != "cli":
+            assert path_messages(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_path_guard_sees_each_form():
+    samples = ['raise ValueError(f"{path}: bad")', 'raise ValueError("%s: bad" % path)',
+               'raise ValueError("{}: bad".format(path))', 'raise OSError(str(path) + ": bad")']
+    for sample in samples:
+        assert path_messages(sample), sample
+    assert path_messages('raise ValueError(f"bad line {lineno}") from None') == []
+    assert path_messages("raise") == []
+
+
 def used_names(tree) -> set[str]:
     """The names ``tree`` reads: bare names and attributes."""
     names = set()
