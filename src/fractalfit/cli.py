@@ -184,31 +184,15 @@ def model_to_payload(
     }
 
 
-def _array_field(field: str, value, shape: tuple[int, ...], expected: str,
-                 kinds: str = "iuf") -> None:
-    """Check that ``value`` is a finite array of exactly ``shape`` whose
-    entries are of the numpy ``kinds`` (default numbers, not booleans;
-    ``"b"``: JSON booleans); a one-line ValueError naming the field if not."""
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nested lists
-        arr = np.array(None)
-    if arr.dtype.kind not in kinds or arr.shape != shape or not np.isfinite(arr).all() or (
-        # numpy reads a JSON boolean among numbers as a number
-        arr.dtype.kind != "b" and bool in map(type, np.array(value, dtype=object).flat)
-    ):
-        raise ValueError(f"model field {field!r} must be {expected}")
-
-
 def read_model_file(path) -> dict:
-    """Load and validate a model payload: the schema version and kind must be
-    known, every field that ``model_from_payload`` reads present, numeric and
-    finite, the kind's first parameter one number per segment, and each
-    other one that is present a list of one JSON boolean per segment.  The
-    knots themselves are checked when the model is built.  Version "1" and
-    "2" files are read as well; their ``domain`` and fractal ``clamped`` and
-    ``degenerate`` lists are not read, and version "1" quadratic files hold
-    [k, r, l] rows, which are not read either, so they lack ``curvature``."""
+    """Load a model payload and check what only a file has: a JSON object of a
+    known schema version and kind, with ``knots``, ``parameters`` and the kind's
+    first parameter present, and no JSON boolean among the numbers of ``knots``
+    or that parameter (numpy reads one as 0 or 1).  The arrays are checked when
+    the model is built.  Version "1" and "2" files are read as well; their
+    ``domain`` and fractal ``clamped`` and ``degenerate`` lists are not read, and
+    version "1" quadratic files hold [k, r, l] rows, which are not read either,
+    so they lack ``curvature``."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, dict):
         raise ValueError("model file must hold a JSON object")
@@ -223,19 +207,13 @@ def read_model_file(path) -> dict:
     for key in ("knots", "parameters"):
         if key not in payload:
             raise ValueError(f"missing model field {key!r}")
-    field, *flags = (f.name for f in fields(_KINDS[kind])[1:])
+    field = fields(_KINDS[kind])[1].name
     params = payload["parameters"]
     if not isinstance(params, dict) or field not in params:
         raise ValueError(f"missing model field 'parameters.{field}'")
-    points = payload["knots"]
-    n_knots = len(points) if isinstance(points, list) else 0
-    _array_field("knots", points, (n_knots, 2), "a list of finite [x, y] pairs")
-    n = n_knots - 1
-    _array_field(f"parameters.{field}", params[field], (n,), f"a list of {n} finite numbers")
-    for name in flags:
-        if name in params:
-            expected = f"a list of {n} booleans"
-            _array_field(f"parameters.{name}", params[name], (n,), expected, kinds="b")
+    for name, value in (("knots", payload["knots"]), (f"parameters.{field}", params[field])):
+        if bool in map(type, np.array(value, dtype=object).ravel()):
+            raise ValueError(f"model field {name!r} must hold numbers, not booleans")
     return payload
 
 

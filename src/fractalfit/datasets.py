@@ -292,6 +292,8 @@ def select_knots(
     if mode == "manual":
         if not indices:
             raise ValueError("manual mode requires interior knot indices")
+        if any(isinstance(i, bool) or not isinstance(i, (int, np.integer)) for i in indices):
+            raise ValueError("interior knot indices must be integers")
         chosen = sorted(int(i) for i in indices)
         if len(set(chosen)) != len(chosen):
             raise ValueError("duplicate knot indices")
@@ -306,7 +308,7 @@ def select_knots(
         if n_interior is None or n_interior < 1:
             raise ValueError("extrema mode requires n_interior >= 1")
         if window < 1 or window % 2 == 0 or window >= 2 * m_count - 1:
-            raise ValueError(f"smoothing window must be a positive odd integer below 2M - 1 = {2 * m_count - 1}")
+            raise ValueError(f"smoothing window {window} must be a positive odd integer below 2M - 1 = {2 * m_count - 1}")
         smoothed = _moving_average(series.w, window)
         peaks, proms = _prominent_peaks(smoothed, prominence, (1.0, -1.0))
         if peaks.size == 0 or (n_interior >= 2 and peaks.size < 2):

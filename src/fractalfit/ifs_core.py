@@ -49,10 +49,15 @@ _CHUNK = 1 << 14  # samples per block of a per-sample pass: its arrays (128 KiB 
 
 
 def _frozen_array(values, name: str, dtype=float, size: int | None = None) -> np.ndarray:
-    """A read-only one-dimensional copy of ``values``, checked finite and ``size`` long if given."""
-    arr = np.array(values, dtype=dtype)
-    if dtype is bool and np.asarray(values).dtype != bool:
-        raise ValueError(f"{name} must be booleans")
+    """A read-only one-dimensional copy of ``values``, checked finite and ``size`` long if given.
+    Only numbers (numpy kinds i, u, f), or booleans for ``dtype=bool``, are cast; others are refused."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nested lists
+        arr = np.array(None)
+    if arr.dtype.kind not in ("b" if dtype is bool else "iuf"):
+        raise ValueError(f"{name} must be {'booleans' if dtype is bool else 'numbers'}")
+    arr = np.array(arr, dtype=dtype)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional")
     if size is not None and arr.size != size:
@@ -90,10 +95,11 @@ class _SortedPairs:
 
     @classmethod
     def from_points(cls, points: Sequence[tuple[float, float]]):
-        pts = np.asarray(points, dtype=float)
+        # as objects, so the constructor judges each axis's entries uncast
+        pts = np.array(points, dtype=object)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError(f"{cls._NOUN} points must be (x, y) pairs")
-        return cls(pts[:, 0], pts[:, 1])
+        return cls(*pts.T.tolist())
 
 
 @dataclass(frozen=True)

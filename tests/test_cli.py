@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -348,6 +349,51 @@ class TestFit:
         assert "out of range" in err
 
 
+# A model file's faults: (field, value, the reason ``eval`` gives for a file
+# holding ``value`` at ``field`` of a valid tent payload).  The model's own
+# constructor judges every array; a file adds only the JSON boolean check.
+MALFORMED_MODEL_FIELDS = [
+    ("knots", 5, "knot points must be (x, y) pairs"),
+    ("knots", [[0, 0], [1]], "knot points must be (x, y) pairs"),
+    ("knots", [[0, "a"], [0.5, 0.5], [1, 0]], "knot ordinates must be numbers"),
+    ("knots", "ab", "knot points must be (x, y) pairs"),
+    ("knots", [0, 0.5, 1], "knot points must be (x, y) pairs"),
+    ("parameters.d", [[0.5], [0.5]], "scaling factors must be one-dimensional"),
+    ("parameters.d", None, "scaling factors must be numbers"),
+    ("parameters.curvature", [0.5, "x"], "curvatures must be numbers"),
+    ("parameters.chord_fallback", [1, 2, 3], "chord fallback flags must be booleans"),
+    ("parameters.chord_fallback", [True, False, "x"], "chord fallback flags must be booleans"),
+    ("parameters.chord_fallback", [1, 0], "chord fallback flags must be booleans"),
+    ("parameters.chord_fallback", [True], "expected 2 chord fallback flags, got 1"),
+    ("parameters.chord_fallback", ["x", 7], "chord fallback flags must be booleans"),
+    ("parameters.chord_fallback", [False, False, False], "expected 2 chord fallback flags, got 3"),
+    ("parameters.d", [0.5, 0.5, 0.5], "expected 2 scaling factors, got 3"),
+    ("parameters.curvature", [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]], "curvatures must be one-dimensional"),
+    # numpy would read a JSON boolean among numbers as 0 or 1
+    ("parameters.d", [False, 0.5], "model field 'parameters.d' must hold numbers, not booleans"),
+    ("knots", [[0, 0], [0.5, 0.5], [True, 0]], "model field 'knots' must hold numbers, not booleans"),
+    ("knots", [[0, 0], [0.5, None], [1, 0]], "knot ordinates must be numbers"),
+    ("knots", [[0, 0], [0.5, float("inf")], [1, 0]], "knot ordinates contains non-finite values"),
+    ("knots", [[0, 0], [0.5, [0.5]], [1, 0]], "knot ordinates must be numbers"),
+    ("parameters.d", {}, "scaling factors must be numbers"),
+    ("parameters.d", ["0.5", 0.5], "scaling factors must be numbers"),
+    ("parameters.d", [0.5, float("nan")], "scaling factors contains non-finite values"),
+    ("parameters.d", [[0.5], 0.5], "scaling factors must be numbers"),
+    ("parameters.curvature", [0.5, None], "curvatures must be numbers"),
+    # deeper than the 32 dimensions numpy's flat iterator takes
+    ("parameters.d", json.loads("[" * 40 + "0.5" + "]" * 40), "scaling factors must be one-dimensional"),
+    ("knots", json.loads("[" * 40 + "0.5" + "]" * 40), "knot points must be (x, y) pairs"),
+]
+
+
+def malformed_payload(field: str, value) -> dict:
+    """A valid tent payload of the kind that has ``field``, with ``value`` there."""
+    payload = tent_payload("quadratic" if field in ("parameters.curvature", "parameters.chord_fallback") else "fractal")
+    where, key = (payload["parameters"], field.split(".", 1)[1]) if "." in field else (payload, field)
+    where[key] = value
+    return payload
+
+
 class TestEval:
     def test_grid_hits_knots(self, tmp_path, capsys):
         path = tmp_path / "tent.json"
@@ -512,43 +558,53 @@ class TestEval:
         assert code == 1
         assert err == f"error: {path}: model file must hold a JSON object\n"
 
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("knots", 5),
-            ("knots", [[0, 0], [1]]),
-            ("knots", [[0, "a"], [0.5, 0.5], [1, 0]]),
-            ("knots", "ab"),
-            ("knots", [0, 0.5, 1]),
-            ("parameters.d", [[0.5], [0.5]]),
-            ("parameters.d", None),
-            ("parameters.curvature", [0.5, "x"]),
-            ("parameters.chord_fallback", [1, 2, 3]),
-            ("parameters.chord_fallback", [True, False, "x"]),
-            ("parameters.chord_fallback", [1, 0]),
-            ("parameters.chord_fallback", [True]),
-            ("parameters.chord_fallback", ["x", 7]),
-            ("parameters.chord_fallback", [False, False, False]),
-            ("parameters.d", [0.5, 0.5, 0.5]),
-            ("parameters.curvature", [[0.5, 0.0, 0.0], [-0.5, 0.0, 0.0]]),
-            # numpy would read a JSON boolean among numbers as 0 or 1
-            ("parameters.d", [False, 0.5]),
-            ("knots", [[0, 0], [0.5, 0.5], [True, 0]]),
-        ],
-    )
+    @pytest.mark.parametrize("field, value", [case[:2] for case in MALFORMED_MODEL_FIELDS])
     def test_malformed_model_field_is_data_error(self, tmp_path, capsys, field, value):
-        quadratic = field in ("parameters.curvature", "parameters.chord_fallback")
-        payload = tent_payload("quadratic" if quadratic else "fractal")
-        if field.startswith("parameters."):
-            payload["parameters"][field.split(".", 1)[1]] = value
-        else:
-            payload[field] = value
+        # pytest passes each case's own value object, so identity finds its reason
+        reason = next(r for f, v, r in MALFORMED_MODEL_FIELDS if f == field and v is value)
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(json.dumps(malformed_payload(field, value)))
         code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
-        assert code == 1
-        assert err.startswith(f"error: {path}: model field '{field}' must be ")
-        assert err.count("\n") == 1
+        assert (code, err) == (1, f"error: {path}: {reason}\n")
+
+
+def _without(key: str) -> dict:
+    payload = tent_payload()
+    del payload[key]
+    return payload
+
+
+FILE_ONLY_REASONS = (r"model file must hold a JSON object|unsupported model schema version .*"
+                     r"|unknown model kind .*|missing model field .*|model field .* must hold numbers, not booleans")
+
+
+@pytest.mark.parametrize("payload", [
+    *(malformed_payload(field, value) for field, value, _ in MALFORMED_MODEL_FIELDS),
+    [1, 2],
+    {**tent_payload(), "schema_version": "99"},
+    {**tent_payload(), "kind": "spline"},
+    _without("knots"),
+    _without("parameters"),
+    {**tent_payload(), "parameters": {"curvature": [0.5, 0.5]}},
+], ids=[*(f"{field}-{i}" for i, (field, _, _) in enumerate(MALFORMED_MODEL_FIELDS)),
+        "not-an-object", "schema", "kind", "no-knots", "no-parameters", "no-d"])
+def test_model_file_reason_is_the_library_reason(tmp_path, capsys, payload):
+    # a file's reason is the model constructor's message, by construction:
+    # the file reader refuses only what only a file has
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    try:
+        read_model_file(path)
+    except ValueError as exc:
+        reason = str(exc)
+        assert re.fullmatch(FILE_ONLY_REASONS, reason), reason
+    else:
+        with pytest.raises(ValueError) as info:
+            model_from_payload(payload)
+        assert Path(info.traceback[-1].path).name != "cli.py"  # raised by the library, not rewritten
+        reason = str(info.value)
+    code, _, err = run(capsys, "eval", "--model", str(path), "--grid", "5", "--out", str(tmp_path / "c.csv"))
+    assert (code, err) == (1, f"error: {path}: {reason}\n")
 
 
 def test_series_csv_is_the_joined_rows(tmp_path):
@@ -883,7 +939,8 @@ class TestCompare:
         # past 2^63 too, where smoothing would end in a numpy TypeError
         code, err = fail_line(["compare", "--series", str(poly_files / "poly.csv"),
                                "--n", "3", "--window", "99999999999999999999"])
-        assert (code, err) == (1, "error: smoothing window must be a positive odd integer below 2M - 1 = 799\n")
+        assert (code, err) == (1, "error: smoothing window 99999999999999999999 must be a positive odd integer below "
+                               "2M - 1 = 799\n")
 
     def test_usage_errors(self, poly_files, capsys):
         tmp = poly_files

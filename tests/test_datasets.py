@@ -509,6 +509,18 @@ class TestSelectKnotsManual:
         with pytest.raises(ValueError, match="requires interior"):
             select_knots(series, "manual", indices=[])
 
+    @pytest.mark.parametrize("index", [2.7, 2.0, np.float64(3.0), "3", True])
+    def test_indices_must_be_integers(self, index):
+        # 2.7 would otherwise be cut to 2, and True read as 1
+        series = gen_random_walk(10, 1)
+        with pytest.raises(ValueError, match="^interior knot indices must be integers$"):
+            select_knots(series, "manual", indices=[5, index])
+
+    def test_numpy_integer_indices(self):
+        series = gen_random_walk(10, 1)
+        knots = select_knots(series, "manual", indices=[np.int64(3), np.uint8(7)])
+        assert knots.x.tolist() == [1.0, 3.0, 7.0, 10.0]
+
     def test_unknown_mode(self):
         series = gen_random_walk(100, 0)
         with pytest.raises(ValueError, match="unknown"):

@@ -164,10 +164,27 @@ class TestKnots:
         with pytest.raises(ValueError):
             knots.x[0] = 7.0
 
-    @pytest.mark.parametrize("points", [5, [[0, 0], [1]], [[0, 0, 0], [1, 1, 1]], []])
+    @pytest.mark.parametrize("points", [5, [[0, 0], [1]], [[0, 0, 0], [1, 1, 1]], [], [[0, 0], [1, 1], [2, 0, 1]]])
     def test_from_points_rejects_non_pairs(self, points):
-        with pytest.raises(ValueError):
+        # ragged pairs too: never numpy's "inhomogeneous shape" text
+        with pytest.raises(ValueError, match=r"^knot points must be \(x, y\) pairs$"):
             Knots.from_points(points)
+
+    @pytest.mark.parametrize("points, message", [
+        ([[0, 0], [0.5, None], [1, 0]], "knot ordinates must be numbers"),
+        ([["0", "0"], ["1", "1"], ["2", "0"]], "knot abscissae must be numbers"),
+        ([[0, 0], [1, "a"], [2, 0]], "knot ordinates must be numbers"),
+        ([[0, 0], [Fraction(1, 2), 1], [1, 0]], "knot abscissae must be numbers"),
+    ])
+    def test_from_points_casts_no_entry(self, points, message):
+        # each axis reaches the constructor uncast, so its message names that axis
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Knots.from_points(points)
+
+    def test_from_points_keeps_array_values(self):
+        points = np.array([[0.1, 1 / 3], [0.7, -2e-300], [1e300, 5.0]])
+        knots = Knots.from_points(points)
+        assert np.array_equal(knots.x, points[:, 0]) and np.array_equal(knots.y, points[:, 1])
 
 
 TENT_KNOTS = Knots.from_points([(0, 0), (1, 1), (2, 0)])
@@ -195,10 +212,15 @@ def test_stored_arrays_share_one_length_rule(make, name, size, length_error):
     # a flag array takes booleans only: a number or a string is not cast to one
     not_entries = [[np.nan] + good[1:], *([[0] * size, ["no", ""]] if flags else [])]
     not_an_entry = f"{name} must be booleans" if flags else f"{name} contains non-finite values"
+    # nor is anything but a number cast to a number: a string, None, complex,
+    # a bool array or an object array
+    not_numbers = [] if flags else [["0.25"] * size, [None] + good[1:], np.array(good, dtype=complex),
+                                    np.zeros(size, dtype=bool), np.array([Fraction(1, 4)] * size)]
     for values, message in (
         (good + good[:1], length_error or f"expected {size} {name}, got {size + 1}"),
         ([[v] for v in good], f"{name} must be one-dimensional"),
         *((values, not_an_entry) for values in not_entries),
+        *((values, f"{name} must be numbers") for values in not_numbers),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make(values)
